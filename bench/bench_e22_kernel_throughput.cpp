@@ -2,24 +2,27 @@
 // simd-float matrix over the two hot A3 kernels (H-range and the Grover
 // diffusion composite) at the dense wall.
 //
-// The dense backend is the layer the SoA + AVX2 rewrite targets: amplitudes
-// are split re[]/im[] arrays and the hot kernels run as blocked contiguous
-// runs with runtime ISA dispatch (quantum::SimdMode). This experiment pins
-// the three configurations against each other on identical registers:
+// The dense backend stores amplitudes as split re[]/im[] arrays and runs
+// the hot kernels as blocked contiguous runs with runtime ISA dispatch
+// (quantum::SimdMode). Each element-wise kernel has one source: the AVX2
+// path is the scalar template compiled again under target("avx2"), and only
+// the fused radix-4 H butterfly (h2_span_avx2) is hand-written intrinsics.
+// This experiment pins the three configurations against each other on
+// identical registers:
 //
-//   - scalar-double: the always-compiled reference path (set_simd_mode
-//     kScalar), the pre-SoA cost model;
-//   - simd-double:   AVX2 4-lane kernels, same precision;
-//   - simd-float:    AVX2 8-lane kernels on float amplitudes — half the
-//     memory traffic, twice the lanes (the opt-in --precision float mode).
+//   - scalar-double: the baseline-ISA build of the kernels (set_simd_mode
+//     kScalar);
+//   - simd-double:   the AVX2 build, 4 double lanes, same precision;
+//   - simd-float:    the AVX2 build, 8 float lanes — half the memory
+//     traffic, twice the lanes (the opt-in --precision float mode).
 //
 // Metric: amplitude-pair updates per second (one H on one qubit of a dim-D
 // register performs D/2 pair updates; a diffusion performs two H-ranges plus
 // a reflect-zero streaming pass), best-of-`--trials` individually timed
-// passes per row. The claim is the ISSUE 6 acceptance bar:
-// simd-float sustains >= 2x the scalar-double rate on BOTH kernels at k = 10
-// (22 qubits, 4M amplitudes) — enforced only under NDEBUG on AVX2 hardware
-// (elsewhere the rows are still reported, with a note).
+// passes per row. The claim: simd-float sustains >= 2x the scalar-double
+// rate on BOTH kernels at k = 10 (22 qubits, 4M amplitudes) — enforced only
+// under NDEBUG on AVX2 hardware (elsewhere the rows are still reported, with
+// a note).
 //
 // Correctness is not sacrificed for the rows: each row checks its register
 // norm after the timed passes (H-range is self-inverse; the diffusion is

@@ -1,10 +1,9 @@
 #pragma once
 // Registry layer of the experiment stack: every harness under bench/ is an
 // Experiment (id, title, claim, tags, run function) registered into one
-// Registry, driven either by the unified qols_bench CLI or by the historical
-// per-experiment shim binaries. Registration is explicit (experiments.cpp
-// calls each register_e*) — no static-initializer magic for a static
-// library to drop.
+// Registry, driven by the qols_bench CLI. Registration is explicit
+// (experiments.cpp calls each register_e*) — no static-initializer magic for
+// a static library to drop.
 
 #include <functional>
 #include <optional>

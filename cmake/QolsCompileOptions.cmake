@@ -1,10 +1,10 @@
 # Shared warning / sanitizer configuration for all qols targets.
 #
 # qols_set_compile_options(<target>) applies the project-wide warning set
-# (plus -Werror when QOLS_WERROR is ON) and sanitizer instrumentation to
-# both compile and link steps: Address+UB when QOLS_SANITIZE is ON, Thread
-# when QOLS_SANITIZE_THREAD is ON (mutually exclusive; the trial engine and
-# thread pool are the TSan targets).
+# (plus -Werror when QOLS_WERROR is ON), -ffp-contract=off, and sanitizer
+# instrumentation to both compile and link steps: Address+UB when
+# QOLS_SANITIZE is ON, Thread when QOLS_SANITIZE_THREAD is ON (mutually
+# exclusive; the trial engine and thread pool are the TSan targets).
 
 function(qols_set_compile_options target)
   if(MSVC)
@@ -14,6 +14,10 @@ function(qols_set_compile_options target)
     endif()
   else()
     target_compile_options(${target} PRIVATE -Wall -Wextra -Wpedantic)
+    # No a*b+c contraction: the scalar and AVX2 kernels share one source and
+    # must round identically whatever -march or the compiler default says.
+    target_compile_options(${target} PRIVATE
+      $<$<CXX_COMPILER_ID:GNU,Clang,AppleClang>:-ffp-contract=off>)
     if(QOLS_WERROR)
       target_compile_options(${target} PRIVATE -Werror)
     endif()

@@ -127,36 +127,6 @@ inline constexpr std::size_t kRunStreamChunk = 4096;
 /// to the historical per-symbol loop.
 bool run_stream(stream::SymbolStream& input, OnlineRecognizer& rec);
 
-/// Monte-Carlo acceptance probability over `trials` independent runs of the
-/// recognizer on the same input stream factory.
-struct AcceptanceStats {
-  std::uint64_t trials = 0;
-  std::uint64_t accepts = 0;
-  double rate() const noexcept {
-    return trials ? static_cast<double>(accepts) / static_cast<double>(trials)
-                  : 0.0;
-  }
-};
-
-template <typename StreamFactory>
-[[deprecated(
-    "use core::TrialEngine (qols/core/trial_engine.hpp) — the single "
-    "Monte-Carlo trial path with pooled sharding and not-simulated "
-    "accounting; this header-only loop will be removed next PR")]]
-AcceptanceStats estimate_acceptance(StreamFactory&& make_stream,
-                                    OnlineRecognizer& rec,
-                                    std::uint64_t trials,
-                                    std::uint64_t seed_base) {
-  AcceptanceStats stats;
-  stats.trials = trials;
-  for (std::uint64_t i = 0; i < trials; ++i) {
-    rec.reset(seed_base + i);
-    auto s = make_stream();
-    if (run_stream(*s, rec)) ++stats.accepts;
-  }
-  return stats;
-}
-
 /// Fact 2.2: log2 of the number of distinct configurations an OPTM with
 /// |Sigma| tape symbols and |Q| control states can reach on inputs of length
 /// n using s work-tape cells:  log2(n * s * |Sigma|^s * |Q|).

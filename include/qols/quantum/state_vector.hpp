@@ -10,10 +10,13 @@
 // contiguous `re[]` and one contiguous `im[]` buffer — so gate kernels are
 // straight-line loops over disjoint scalar arrays with no interleaved
 // real/imag access pattern. The hot kernels (H, X, Z, phase, reflect-zero,
-// MCZ, probability/measure) run as blocked contiguous-run loops with an
-// explicit AVX2 path selected by runtime dispatch (see SimdMode below); the
-// scalar fallback is always compiled and is the auto-vectorizable reference
-// form. Kernels are data-parallel over the project ThreadPool with a grain
+// MCZ, probability/measure) run as blocked contiguous-run loops. Each has
+// one source, a scalar template, built twice: at the baseline ISA, and as an
+// AVX2 clone (target("avx2"), vectorized by the compiler) that runtime
+// dispatch selects (see SimdMode below). Only the fused radix-4 H butterfly
+// keeps hand-written AVX2 intrinsics. The two builds are bit-identical,
+// probability reductions included. Kernels are data-parallel over the
+// project ThreadPool with a grain
 // chosen so registers below ~2^14 amplitudes run serially. The streaming
 // oracles of procedure A3 (V_x, W_y, R_y driven by single input bits) fix
 // the whole index register, so they touch O(1) amplitudes; dedicated fast

@@ -87,12 +87,17 @@ constexpr std::size_t kParallelGrain = std::size_t{1} << 14;
 // ---------------------------------------------------------------------------
 // Run kernels. Every hot gate decomposes into maximal CONTIGUOUS runs of the
 // SoA arrays (see for_pair_runs below), so the kernels are straight-line
-// loops over up to four restrict-qualified scalar arrays. The scalar forms
-// are the always-compiled reference (and what gcc auto-vectorizes at the
-// baseline ISA); the *_avx2 overloads are the explicit 256-bit paths chosen
-// by active_simd_mode(). Element-wise kernels perform the same IEEE ops per
-// element on both paths, so their results are bit-identical; only the
-// probability reductions differ in summation order.
+// loops over up to four restrict-qualified scalar arrays. Each element-wise
+// kernel has ONE source: the *_scalar template is the reference (gcc
+// vectorizes it at the baseline ISA), and its *_avx2 twin is that same body
+// compiled again under target("avx2") — `flatten` inlines it so gcc
+// vectorizes the copy at 256 bits. Both paths perform the same IEEE ops per
+// element in the same order (no FMA: AVX2 does not imply it, and the build
+// passes -ffp-contract=off), so they are bit-identical, the probability
+// reductions included: those sum serially on both paths. The one
+// hand-written kernel is h2_span_avx2: its in-register shuffles for strides
+// below the lane width ran E22 at k = 5 10-20% faster than a clone of
+// h2_span_scalar. active_simd_mode() picks the path.
 // ---------------------------------------------------------------------------
 
 template <typename S>
@@ -207,47 +212,50 @@ double prob_run_scalar(const S* __restrict__ r, const S* __restrict__ im,
 }
 
 #if QOLS_X86
+#define QOLS_AVX2_CLONE __attribute__((target("avx2"), flatten))
+#else
+#define QOLS_AVX2_CLONE
+#endif
 
-__attribute__((target("avx2"))) void h_run_avx2(double* __restrict__ rlo,
-                                                double* __restrict__ rhi,
-                                                double* __restrict__ ilo,
-                                                double* __restrict__ ihi,
-                                                std::size_t n) {
-  const __m256d c = _mm256_set1_pd(std::numbers::sqrt2 / 2.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ra = _mm256_loadu_pd(rlo + i);
-    const __m256d rb = _mm256_loadu_pd(rhi + i);
-    _mm256_storeu_pd(rlo + i, _mm256_mul_pd(_mm256_add_pd(ra, rb), c));
-    _mm256_storeu_pd(rhi + i, _mm256_mul_pd(_mm256_sub_pd(ra, rb), c));
-    const __m256d ia = _mm256_loadu_pd(ilo + i);
-    const __m256d ib = _mm256_loadu_pd(ihi + i);
-    _mm256_storeu_pd(ilo + i, _mm256_mul_pd(_mm256_add_pd(ia, ib), c));
-    _mm256_storeu_pd(ihi + i, _mm256_mul_pd(_mm256_sub_pd(ia, ib), c));
-  }
-  h_run_scalar(rlo + i, rhi + i, ilo + i, ihi + i, n - i);
+template <typename S>
+QOLS_AVX2_CLONE void h_run_avx2(S* __restrict__ rlo, S* __restrict__ rhi,
+                                S* __restrict__ ilo, S* __restrict__ ihi,
+                                std::size_t n) {
+  h_run_scalar(rlo, rhi, ilo, ihi, n);
 }
 
-__attribute__((target("avx2"))) void h_run_avx2(float* __restrict__ rlo,
-                                                float* __restrict__ rhi,
-                                                float* __restrict__ ilo,
-                                                float* __restrict__ ihi,
-                                                std::size_t n) {
-  const __m256 c =
-      _mm256_set1_ps(static_cast<float>(std::numbers::sqrt2 / 2.0));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 ra = _mm256_loadu_ps(rlo + i);
-    const __m256 rb = _mm256_loadu_ps(rhi + i);
-    _mm256_storeu_ps(rlo + i, _mm256_mul_ps(_mm256_add_ps(ra, rb), c));
-    _mm256_storeu_ps(rhi + i, _mm256_mul_ps(_mm256_sub_ps(ra, rb), c));
-    const __m256 ia = _mm256_loadu_ps(ilo + i);
-    const __m256 ib = _mm256_loadu_ps(ihi + i);
-    _mm256_storeu_ps(ilo + i, _mm256_mul_ps(_mm256_add_ps(ia, ib), c));
-    _mm256_storeu_ps(ihi + i, _mm256_mul_ps(_mm256_sub_ps(ia, ib), c));
-  }
-  h_run_scalar(rlo + i, rhi + i, ilo + i, ihi + i, n - i);
+template <typename S>
+QOLS_AVX2_CLONE void swap_run_avx2(S* __restrict__ a, S* __restrict__ b,
+                                   std::size_t n) {
+  swap_run_scalar(a, b, n);
 }
+
+template <typename S>
+QOLS_AVX2_CLONE void neg_run_avx2(S* __restrict__ r, S* __restrict__ im,
+                                  std::size_t n) {
+  neg_run_scalar(r, im, n);
+}
+
+template <typename S>
+QOLS_AVX2_CLONE void phase_run_avx2(S* __restrict__ r, S* __restrict__ im,
+                                    std::size_t n, S pr, S pi) {
+  phase_run_scalar(r, im, n, pr, pi);
+}
+
+template <typename S>
+QOLS_AVX2_CLONE void scale_run_avx2(S* __restrict__ r, S* __restrict__ im,
+                                    std::size_t n, S s) {
+  scale_run_scalar(r, im, n, s);
+}
+
+template <typename S>
+QOLS_AVX2_CLONE double prob_run_avx2(const S* __restrict__ r,
+                                     const S* __restrict__ im,
+                                     std::size_t n) {
+  return prob_run_scalar(r, im, n);
+}
+
+#if QOLS_X86
 
 // Span forms of the fused radix-4 pass. Strides below the vector width use
 // in-register shuffles — each lane still sees the exact scalar op sequence
@@ -317,6 +325,12 @@ __attribute__((target("avx2"))) void h2_span_avx2(float* __restrict__ p,
                                                   std::size_t b1) {
   const __m256 h =
       _mm256_set1_ps(static_cast<float>(std::numbers::sqrt2 / 2.0));
+  if (len < 8) {
+    // A lone 4-float group (a 2-qubit register) is narrower than one
+    // vector: the loops below would read and write past it.
+    h2_span_scalar(p, len, b1);
+    return;
+  }
   if (b1 == 1) {
     // One vector = two groups [a b c d | a' b' c' d'].
     for (std::size_t g = 0; g < len; g += 8) {
@@ -390,248 +404,58 @@ __attribute__((target("avx2"))) void h2_span_avx2(float* __restrict__ p,
   }
 }
 
-__attribute__((target("avx2"))) void swap_run_avx2(double* __restrict__ a,
-                                                   double* __restrict__ b,
-                                                   std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d va = _mm256_loadu_pd(a + i);
-    const __m256d vb = _mm256_loadu_pd(b + i);
-    _mm256_storeu_pd(a + i, vb);
-    _mm256_storeu_pd(b + i, va);
-  }
-  swap_run_scalar(a + i, b + i, n - i);
-}
+#else
 
-__attribute__((target("avx2"))) void swap_run_avx2(float* __restrict__ a,
-                                                   float* __restrict__ b,
-                                                   std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 va = _mm256_loadu_ps(a + i);
-    const __m256 vb = _mm256_loadu_ps(b + i);
-    _mm256_storeu_ps(a + i, vb);
-    _mm256_storeu_ps(b + i, va);
-  }
-  swap_run_scalar(a + i, b + i, n - i);
-}
-
-__attribute__((target("avx2"))) void neg_run_avx2(double* __restrict__ r,
-                                                  double* __restrict__ im,
-                                                  std::size_t n) {
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(r + i, _mm256_xor_pd(_mm256_loadu_pd(r + i), sign));
-    _mm256_storeu_pd(im + i, _mm256_xor_pd(_mm256_loadu_pd(im + i), sign));
-  }
-  neg_run_scalar(r + i, im + i, n - i);
-}
-
-__attribute__((target("avx2"))) void neg_run_avx2(float* __restrict__ r,
-                                                  float* __restrict__ im,
-                                                  std::size_t n) {
-  const __m256 sign = _mm256_set1_ps(-0.0f);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(r + i, _mm256_xor_ps(_mm256_loadu_ps(r + i), sign));
-    _mm256_storeu_ps(im + i, _mm256_xor_ps(_mm256_loadu_ps(im + i), sign));
-  }
-  neg_run_scalar(r + i, im + i, n - i);
-}
-
-__attribute__((target("avx2"))) void phase_run_avx2(double* __restrict__ r,
-                                                    double* __restrict__ im,
-                                                    std::size_t n, double pr,
-                                                    double pi) {
-  const __m256d vpr = _mm256_set1_pd(pr);
-  const __m256d vpi = _mm256_set1_pd(pi);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(r + i);
-    const __m256d b = _mm256_loadu_pd(im + i);
-    _mm256_storeu_pd(
-        r + i, _mm256_sub_pd(_mm256_mul_pd(a, vpr), _mm256_mul_pd(b, vpi)));
-    _mm256_storeu_pd(
-        im + i, _mm256_add_pd(_mm256_mul_pd(a, vpi), _mm256_mul_pd(b, vpr)));
-  }
-  phase_run_scalar(r + i, im + i, n - i, pr, pi);
-}
-
-__attribute__((target("avx2"))) void phase_run_avx2(float* __restrict__ r,
-                                                    float* __restrict__ im,
-                                                    std::size_t n, float pr,
-                                                    float pi) {
-  const __m256 vpr = _mm256_set1_ps(pr);
-  const __m256 vpi = _mm256_set1_ps(pi);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 a = _mm256_loadu_ps(r + i);
-    const __m256 b = _mm256_loadu_ps(im + i);
-    _mm256_storeu_ps(
-        r + i, _mm256_sub_ps(_mm256_mul_ps(a, vpr), _mm256_mul_ps(b, vpi)));
-    _mm256_storeu_ps(
-        im + i, _mm256_add_ps(_mm256_mul_ps(a, vpi), _mm256_mul_ps(b, vpr)));
-  }
-  phase_run_scalar(r + i, im + i, n - i, pr, pi);
-}
-
-__attribute__((target("avx2"))) void scale_run_avx2(double* __restrict__ r,
-                                                    double* __restrict__ im,
-                                                    std::size_t n, double s) {
-  const __m256d vs = _mm256_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(r + i, _mm256_mul_pd(_mm256_loadu_pd(r + i), vs));
-    _mm256_storeu_pd(im + i, _mm256_mul_pd(_mm256_loadu_pd(im + i), vs));
-  }
-  scale_run_scalar(r + i, im + i, n - i, s);
-}
-
-__attribute__((target("avx2"))) void scale_run_avx2(float* __restrict__ r,
-                                                    float* __restrict__ im,
-                                                    std::size_t n, float s) {
-  const __m256 vs = _mm256_set1_ps(s);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(r + i, _mm256_mul_ps(_mm256_loadu_ps(r + i), vs));
-    _mm256_storeu_ps(im + i, _mm256_mul_ps(_mm256_loadu_ps(im + i), vs));
-  }
-  scale_run_scalar(r + i, im + i, n - i, s);
-}
-
-__attribute__((target("avx2"))) double prob_run_avx2(
-    const double* __restrict__ r, const double* __restrict__ im,
-    std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(r + i);
-    const __m256d b = _mm256_loadu_pd(im + i);
-    acc = _mm256_add_pd(
-        acc, _mm256_add_pd(_mm256_mul_pd(a, a), _mm256_mul_pd(b, b)));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  return lanes[0] + lanes[1] + lanes[2] + lanes[3] +
-         prob_run_scalar(r + i, im + i, n - i);
-}
-
-__attribute__((target("avx2"))) double prob_run_avx2(
-    const float* __restrict__ r, const float* __restrict__ im, std::size_t n) {
-  // Squares and sums in DOUBLE: float amplitudes, double probability — the
-  // float mode's measurement pipeline loses no accumulation precision.
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 a = _mm256_loadu_ps(r + i);
-    const __m256 b = _mm256_loadu_ps(im + i);
-    const __m256d a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(a));
-    const __m256d a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(a, 1));
-    const __m256d b_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(b));
-    const __m256d b_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(b, 1));
-    acc = _mm256_add_pd(acc, _mm256_add_pd(_mm256_mul_pd(a_lo, a_lo),
-                                           _mm256_mul_pd(b_lo, b_lo)));
-    acc = _mm256_add_pd(acc, _mm256_add_pd(_mm256_mul_pd(a_hi, a_hi),
-                                           _mm256_mul_pd(b_hi, b_hi)));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  return lanes[0] + lanes[1] + lanes[2] + lanes[3] +
-         prob_run_scalar(r + i, im + i, n - i);
+template <typename S>
+void h2_span_avx2(S* p, std::size_t len, std::size_t b1) {
+  h2_span_scalar(p, len, b1);
 }
 
 #endif  // QOLS_X86
 
 // Runtime-dispatch wrappers. `avx2` is hoisted out of the per-run loops by
-// the callers (one active_simd_mode() read per gate application).
+// the callers (one active_simd_mode() read per gate application); it is never
+// set without AVX2 hardware, so off x86 both arms run the scalar body.
 
 template <typename S>
 inline void h_run(S* rlo, S* rhi, S* ilo, S* ihi, std::size_t n, bool avx2) {
-#if QOLS_X86
-  if (avx2) {
-    h_run_avx2(rlo, rhi, ilo, ihi, n);
-    return;
-  }
-#else
-  (void)avx2;
-#endif
+  if (avx2) return h_run_avx2(rlo, rhi, ilo, ihi, n);
   h_run_scalar(rlo, rhi, ilo, ihi, n);
 }
 
 template <typename S>
 inline void h2_span(S* p, std::size_t len, std::size_t b1, bool avx2) {
-#if QOLS_X86
-  if (avx2) {
-    h2_span_avx2(p, len, b1);
-    return;
-  }
-#else
-  (void)avx2;
-#endif
+  if (avx2) return h2_span_avx2(p, len, b1);
   h2_span_scalar(p, len, b1);
 }
 
 template <typename S>
 inline void swap_run(S* a, S* b, std::size_t n, bool avx2) {
-#if QOLS_X86
-  if (avx2) {
-    swap_run_avx2(a, b, n);
-    return;
-  }
-#else
-  (void)avx2;
-#endif
+  if (avx2) return swap_run_avx2(a, b, n);
   swap_run_scalar(a, b, n);
 }
 
 template <typename S>
 inline void neg_run(S* r, S* im, std::size_t n, bool avx2) {
-#if QOLS_X86
-  if (avx2) {
-    neg_run_avx2(r, im, n);
-    return;
-  }
-#else
-  (void)avx2;
-#endif
+  if (avx2) return neg_run_avx2(r, im, n);
   neg_run_scalar(r, im, n);
 }
 
 template <typename S>
 inline void phase_run(S* r, S* im, std::size_t n, S pr, S pi, bool avx2) {
-#if QOLS_X86
-  if (avx2) {
-    phase_run_avx2(r, im, n, pr, pi);
-    return;
-  }
-#else
-  (void)avx2;
-#endif
+  if (avx2) return phase_run_avx2(r, im, n, pr, pi);
   phase_run_scalar(r, im, n, pr, pi);
 }
 
 template <typename S>
 inline void scale_run(S* r, S* im, std::size_t n, S s, bool avx2) {
-#if QOLS_X86
-  if (avx2) {
-    scale_run_avx2(r, im, n, s);
-    return;
-  }
-#else
-  (void)avx2;
-#endif
+  if (avx2) return scale_run_avx2(r, im, n, s);
   scale_run_scalar(r, im, n, s);
 }
 
 template <typename S>
 inline double prob_run(const S* r, const S* im, std::size_t n, bool avx2) {
-#if QOLS_X86
-  if (avx2) return prob_run_avx2(r, im, n);
-#else
-  (void)avx2;
-#endif
-  return prob_run_scalar(r, im, n);
+  return avx2 ? prob_run_avx2(r, im, n) : prob_run_scalar(r, im, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -926,7 +750,7 @@ void StateVectorT<Scalar>::apply_mcz(std::span<const ControlTerm> controls) {
 //      an L1-sized tile is applied while the tile is resident — ONE memory
 //      pass for the whole low sub-ladder.
 //   2. Radix-4 fusion: consecutive qubits (q, q+1) combine into one pass
-//      (h2_run), halving traffic for the high, streaming qubits too.
+//      (h2_span), halving traffic for the high, streaming qubits too.
 template <typename Scalar>
 void StateVectorT<Scalar>::apply_h_range(unsigned first, unsigned count) {
   assert(first + count <= num_qubits_);

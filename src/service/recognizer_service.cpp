@@ -1,11 +1,8 @@
 #include "qols/service/recognizer_service.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -15,6 +12,7 @@
 
 #include "qols/core/classical_recognizers.hpp"
 #include "qols/core/quantum_recognizer.hpp"
+#include "qols/util/file_io.hpp"
 #include "qols/util/stopwatch.hpp"
 
 namespace qols::service {
@@ -31,24 +29,7 @@ std::uint64_t to_ns(double seconds) {
 void write_spill_file(const std::string& path,
                       const std::vector<std::uint8_t>& bytes, bool sync,
                       std::uint64_t id) {
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  bool ok = fd >= 0;
-  if (ok) {
-    std::size_t done = 0;
-    while (done < bytes.size()) {
-      const ssize_t w = ::write(fd, bytes.data() + done, bytes.size() - done);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        ok = false;
-        break;
-      }
-      done += static_cast<std::size_t>(w);
-    }
-    if (ok && sync && ::fsync(fd) != 0) ok = false;
-    ::close(fd);
-  }
-  if (!ok) {
+  if (!util::write_file(path, bytes, sync)) {
     std::error_code ec;
     std::filesystem::remove(path, ec);
     throw std::runtime_error("RecognizerService: cannot spill session " +

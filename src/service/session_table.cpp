@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "qols/util/crc32.hpp"
+#include "qols/util/file_io.hpp"
 #include "qols/util/serde.hpp"
 
 namespace qols::service {
@@ -30,17 +31,9 @@ constexpr std::uint32_t kMaxRecordPayload = 64;
                            std::strerror(errno));
 }
 
-void write_all(int fd, const std::uint8_t* data, std::size_t n,
-               const std::string& path) {
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t w = ::write(fd, data + done, n - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw_io("cannot write", path);
-    }
-    done += static_cast<std::size_t>(w);
-  }
+void write_or_throw(int fd, std::span<const std::uint8_t> bytes,
+                    const std::string& path) {
+  if (!util::write_all(fd, bytes)) throw_io("cannot write", path);
 }
 
 void fsync_or_throw(int fd, const std::string& path) {
@@ -198,7 +191,7 @@ void SessionTable::open_fd() {
   struct ::stat st{};
   if (::fstat(fd_, &st) != 0) throw_io("cannot stat", path_);
   if (st.st_size == 0) {
-    write_all(fd_, kMagic, sizeof(kMagic), path_);
+    write_or_throw(fd_, kMagic, path_);
     fsync_or_throw(fd_, path_);
     fsync_dir(opts_.dir);
   }
@@ -237,7 +230,7 @@ void SessionTable::append(RecordType type,
                           const std::vector<std::uint8_t>& payload) {
   ensure_alive();
   const std::vector<std::uint8_t> framed = frame_record(payload);
-  write_all(fd_, framed.data(), framed.size(), path_);
+  write_or_throw(fd_, framed, path_);
   ++appended_;
   ++unsynced_;
   const bool force = type == RecordType::kEvict;
@@ -280,24 +273,17 @@ void SessionTable::sync() {
 void SessionTable::compact(const std::map<std::uint64_t, LiveSession>& live) {
   ensure_alive();
   const std::string tmp = path_ + ".tmp";
-  {
-    const int fd =
-        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0) throw_io("cannot open", tmp);
-    write_all(fd, kMagic, sizeof(kMagic), tmp);
-    for (const auto& [id, s] : live) {
-      const auto open_rec = frame_record(payload_open(id, s.seed, s.shard));
-      write_all(fd, open_rec.data(), open_rec.size(), tmp);
-      if (s.evicted) {
-        const auto evict_rec = frame_record(payload_evict(id, s.spill_bytes));
-        write_all(fd, evict_rec.data(), evict_rec.size(), tmp);
-      }
-    }
-    if (::fsync(fd) != 0) {
-      ::close(fd);
-      throw_io("cannot fsync", tmp);
-    }
-    ::close(fd);
+  std::vector<std::uint8_t> bytes(std::begin(kMagic), std::end(kMagic));
+  auto put = [&bytes](const std::vector<std::uint8_t>& payload) {
+    const std::vector<std::uint8_t> framed = frame_record(payload);
+    bytes.insert(bytes.end(), framed.begin(), framed.end());
+  };
+  for (const auto& [id, s] : live) {
+    put(payload_open(id, s.seed, s.shard));
+    if (s.evicted) put(payload_evict(id, s.spill_bytes));
+  }
+  if (!util::write_file(tmp, bytes, /*sync=*/true)) {
+    throw_io("cannot write", tmp);
   }
   // The rename is the commit point: either the old journal or the compacted
   // one is fully in place, never a mixture.

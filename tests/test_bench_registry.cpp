@@ -1,6 +1,5 @@
 // Unit tests: the experiment registry, runner, and the JSON reporting path
-// (links qols_bench_core — the same objects behind qols_bench and the
-// bench_e* shims).
+// (links qols_bench_core — the same objects behind qols_bench).
 #include <gtest/gtest.h>
 
 #include <set>

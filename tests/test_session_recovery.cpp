@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <span>
 #include <stdexcept>
@@ -549,6 +550,36 @@ TEST(SessionTable, CompactionReplacesTheJournalWithTheMinimalEquivalent) {
   ASSERT_EQ(r.live.size(), 1u);
   EXPECT_TRUE(r.live.at(9).evicted);
   EXPECT_EQ(r.live.at(9).spill_bytes, 123u);
+  fs::remove_all(dir);
+}
+
+TEST(SessionTable, FailedCompactionClosesItsTempFileAndKeepsTheJournal) {
+  // A full disk mid-compaction: <manifest>.tmp is a symlink to /dev/full, so
+  // every write to it fails with ENOSPC. compact() must throw without
+  // leaking the temp descriptor, and the old journal must still recover.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const auto dir = unique_dir("compact-full");
+  const auto open_fds = [] {
+    return std::distance(fs::directory_iterator("/proc/self/fd"),
+                         fs::directory_iterator{});
+  };
+  std::map<std::uint64_t, SessionTable::LiveSession> live;
+  live[4] = {40, 1, false, 0};
+  {
+    SessionTable table({dir.string(), 0});
+    table.record_open(4, 40, 1);
+    table.record_open(7, 70, 0);
+    fs::create_symlink("/dev/full",
+                       SessionTable::path_in(dir.string()) + ".tmp");
+    const auto before = open_fds();
+    EXPECT_THROW(table.compact(live), std::runtime_error);
+    EXPECT_EQ(open_fds(), before);
+    EXPECT_EQ(table.compactions(), 0u);
+  }
+  const auto r = SessionTable::replay(dir.string());
+  EXPECT_EQ(r.records, 2u);
+  ASSERT_EQ(r.live.size(), 2u);
+  EXPECT_EQ(r.live.at(7).seed, 70u);
   fs::remove_all(dir);
 }
 

@@ -8,7 +8,9 @@
 // reassociation of any single element's chain), so forcing kScalar and
 // kAvx2 over the same inputs must produce BIT-IDENTICAL registers — EXPECT_EQ
 // on raw components, no tolerance. That is what makes runtime dispatch safe:
-// a machine without AVX2 replays a failure token to the same bits.
+// a machine without AVX2 replays a failure token to the same bits. The
+// probability reductions (norm, probability_one) share one summation order on
+// both paths too, so they are pinned with EXPECT_EQ as well.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -64,6 +66,30 @@ void apply_mixed_sequence(StateVectorT<Scalar>& sv) {
   sv.apply_h_range(0, n);
 }
 
+/// norm() and every probability_one(q) of `sv` must be EXPECT_EQ-equal under
+/// forced kScalar and forced kAvx2. Restores the requested mode, so callers
+/// looping over modes keep theirs.
+template <typename Scalar>
+void expect_reductions_mode_independent(const StateVectorT<Scalar>& sv) {
+  if (!cpu_supports_avx2()) return;
+  const SimdMode saved = qols::quantum::requested_simd_mode();
+  auto reductions = [&](SimdMode mode) {
+    qols::quantum::set_simd_mode(mode);
+    std::vector<double> out{sv.norm()};
+    for (unsigned q = 0; q < sv.num_qubits(); ++q) {
+      out.push_back(sv.probability_one(q));
+    }
+    return out;
+  };
+  const std::vector<double> scalar = reductions(SimdMode::kScalar);
+  const std::vector<double> avx2 = reductions(SimdMode::kAvx2);
+  qols::quantum::set_simd_mode(saved);
+  for (std::size_t i = 0; i < scalar.size(); ++i) {
+    EXPECT_EQ(scalar[i], avx2[i])
+        << "reduction " << i << " (0 = norm, q + 1 = probability_one(q))";
+  }
+}
+
 template <typename Scalar>
 void expect_bit_identical(const StateVectorT<Scalar>& a,
                           const StateVectorT<Scalar>& b) {
@@ -72,6 +98,7 @@ void expect_bit_identical(const StateVectorT<Scalar>& a,
     ASSERT_EQ(a.re()[i], b.re()[i]) << "re[" << i << "]";
     ASSERT_EQ(a.im()[i], b.im()[i]) << "im[" << i << "]";
   }
+  expect_reductions_mode_independent(a);
 }
 
 TEST(SimdDispatch, ActiveModeIsNeverAuto) {
@@ -229,6 +256,9 @@ TEST(SimdKernels, DispatchAgreementThroughFullA3Run) {
     for (std::uint64_t basis = 0; basis < dim; ++basis) {
       amps.push_back(backend->amplitude(basis));
     }
+    const auto* dense = backend->dense_state();
+    EXPECT_NE(dense, nullptr);
+    if (dense != nullptr) expect_reductions_mode_independent(*dense);
     return std::pair{amps, a3.finish_output()};
   };
 
