@@ -1,6 +1,6 @@
 // E22 — state-vector kernel throughput: the scalar-double / simd-double /
-// simd-float matrix over the two hot A3 kernels (H-range and the Grover
-// diffusion composite) at the dense wall.
+// simd-float matrix over the hot A3 kernels (H-range, the Grover diffusion
+// composite, and the per-input-bit index gates) at the dense wall.
 //
 // The dense backend stores amplitudes as split re[]/im[] arrays and runs
 // the hot kernels as blocked contiguous runs with runtime ISA dispatch
@@ -19,20 +19,28 @@
 // Metric: amplitude-pair updates per second (one H on one qubit of a dim-D
 // register performs D/2 pair updates; a diffusion performs two H-ranges plus
 // a reflect-zero streaming pass), best-of-`--trials` individually timed
-// passes per row. The claim: simd-float sustains >= 2x the scalar-double
-// rate on BOTH kernels at k = 10 (22 qubits, 4M amplitudes) — enforced only
-// under NDEBUG on AVX2 hardware (elsewhere the rows are still reported, with
-// a note).
+// passes per row. Each row also reports the rate of A3's per-1-bit index
+// gates (V_x, W_y, R_y as x/z/cx-on-index over the full index register) on
+// the same register: each touches O(1) amplitudes, so this is the per-bit
+// cost of the streaming simulation, not a bandwidth figure. The claim:
+// simd-float sustains >= 2x the scalar-double rate on BOTH the H-range and
+// the diffusion kernels at k = 10 (22 qubits, 4M amplitudes) — enforced
+// only under NDEBUG on AVX2 hardware (elsewhere the rows are still reported,
+// with a note).
 //
 // Correctness is not sacrificed for the rows: each row checks its register
-// norm after the timed passes (H-range is self-inverse; the diffusion is
-// unitary), so a kernel that went fast by being wrong fails the row.
+// norm after the timed passes (H-range is self-inverse; the diffusion and
+// the index gates are unitary), so a kernel that went fast by being wrong
+// fails the row.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "experiments.hpp"
 #include "qols/quantum/state_vector.hpp"
+#include "qols/util/rng.hpp"
 #include "qols/util/stopwatch.hpp"
 #include "qols/util/table.hpp"
 #include "registry.hpp"
@@ -44,6 +52,7 @@ struct Row {
   std::string label;
   double hrange_pairs_per_sec = 0.0;
   double diffusion_pairs_per_sec = 0.0;
+  double index_gates_per_sec = 0.0;
   double norm = 1.0;
 };
 
@@ -89,6 +98,26 @@ Row run_row(const std::string& label, quantum::SimdMode mode, unsigned k,
     }
     row.diffusion_pairs_per_sec = best;
   }
+  {
+    // One V_x, W_y and R_y per drawn index, as A3 applies them per 1-bit:
+    // h = qubit 2k, l = qubit 2k+1.
+    util::Rng rng(22);
+    std::vector<std::uint64_t> indices(std::size_t{1} << 14);
+    for (auto& i : indices) i = rng.below(std::uint64_t{1} << range);
+    const double gates = 3.0 * static_cast<double>(indices.size());
+    double best = 0.0;
+    for (int r = 0; r < reps; ++r) {
+      util::Stopwatch watch;
+      for (const std::uint64_t i : indices) {
+        sv.apply_x_on_index(0, range, i, range);
+        sv.apply_z_on_index(0, range, i, range);
+        sv.apply_cx_on_index(0, range, i, range, range + 1);
+      }
+      const double secs = std::max(watch.seconds(), 1e-9);
+      best = std::max(best, gates / secs);
+    }
+    row.index_gates_per_sec = best;
+  }
   row.norm = sv.norm();
   return row;
 }
@@ -114,7 +143,7 @@ int run(Reporter& rep, const RunConfig& cfg) {
       1024.0 * gate_passes * static_cast<double>(2.0 * k) * 0x1p-24;
 
   util::Table table({"row", "precision", "isa", "h_range pairs/s",
-                     "diffusion pairs/s", "|norm-1|", "ok?"});
+                     "diffusion pairs/s", "index gates/s", "|norm-1|", "ok?"});
   bool norms_ok = true;
   const Row* rows[] = {&scalar_double, &simd_double, &simd_float};
   for (const Row* r : rows) {
@@ -128,6 +157,8 @@ int run(Reporter& rep, const RunConfig& cfg) {
                        r->hrange_pairs_per_sec)),
                    util::fmt_g(static_cast<std::uint64_t>(
                        r->diffusion_pairs_per_sec)),
+                   util::fmt_g(static_cast<std::uint64_t>(
+                       r->index_gates_per_sec)),
                    util::fmt_f(std::abs(r->norm - 1.0), 9),
                    ok ? "yes" : "NO"});
   }
@@ -148,6 +179,7 @@ int run(Reporter& rep, const RunConfig& cfg) {
     m.extra.emplace_back("hrange_pairs_per_sec", r->hrange_pairs_per_sec);
     m.extra.emplace_back("diffusion_pairs_per_sec",
                          r->diffusion_pairs_per_sec);
+    m.extra.emplace_back("index_gates_per_sec", r->index_gates_per_sec);
     m.extra.emplace_back("norm_drift", std::abs(r->norm - 1.0));
     if (r == &simd_float) {
       m.extra.emplace_back("hrange_speedup_vs_scalar_double", h_speedup);

@@ -17,10 +17,11 @@
 // keeps hand-written AVX2 intrinsics. The two builds are bit-identical,
 // probability reductions included. Kernels are data-parallel over the
 // project ThreadPool with a grain
-// chosen so registers below ~2^14 amplitudes run serially. The streaming
-// oracles of procedure A3 (V_x, W_y, R_y driven by single input bits) fix
-// the whole index register, so they touch O(1) amplitudes; dedicated fast
-// paths are provided for them.
+// chosen so registers below ~2^14 amplitudes run serially. Every
+// pattern-controlled gate (CNOT, CZ, MCX, MCZ and the streaming oracles of
+// procedure A3: V_x, W_y, R_y driven by single input bits) enumerates only
+// its matching amplitudes; A3's oracles fix the whole index register, so
+// each touches O(1) amplitudes.
 //
 // Precision: the simulator is a class template on the amplitude scalar.
 // `StateVector` (double) is the reference; `StateVectorF` (float) is the
@@ -191,19 +192,19 @@ class StateVectorT {
   void apply_phase_flip_set(std::span<const std::uint64_t> marked);
 
   /// Fast path for V_x driven by one input bit: X on `target` conditioned on
-  /// the index register [first, first+count) being exactly |index>. Touches
-  /// 2^(num_qubits - count - 1) amplitude pairs; with the full index register
-  /// as control this is O(remaining qubits' subspace) = O(1) for A3.
+  /// the index register [first, first+count) being exactly |index>. Costs
+  /// O(2^free) swaps, free = num_qubits - count - 1, with no per-qubit walk:
+  /// O(1) per input bit for A3, whose index register fixes all but one qubit.
   void apply_x_on_index(unsigned first, unsigned count, std::uint64_t index,
                         unsigned target);
 
   /// Fast path for W_y: phase flip conditioned on index register == |index>
-  /// AND qubit `h` == 1.
+  /// AND qubit `h` == 1. O(2^(num_qubits - count - 1)) negations.
   void apply_z_on_index(unsigned first, unsigned count, std::uint64_t index,
                         unsigned h);
 
   /// Fast path for R_y: X on `target` conditioned on index register ==
-  /// |index> AND qubit `h` == 1.
+  /// |index> AND qubit `h` == 1. O(2^(num_qubits - count - 2)) swaps.
   void apply_cx_on_index(unsigned first, unsigned count, std::uint64_t index,
                          unsigned h, unsigned target);
 
@@ -256,8 +257,13 @@ class StateVectorT {
 
  private:
   /// Negates every basis state i with (i & mask) == want: shared core of
-  /// MCZ and the reflect-zero fixup.
+  /// MCZ, CZ, the reflect-zero fixup and W_y.
   void negate_matching(std::size_t mask, std::size_t want);
+
+  /// Swaps amplitudes i and i | tbit for every i with (i & mask) == want and
+  /// bit tbit clear (mask excludes tbit): shared core of MCX, CNOT, V_x and
+  /// R_y. Both kernels touch only the matching amplitudes.
+  void swap_matching(std::size_t mask, std::size_t want, std::size_t tbit);
 
   unsigned num_qubits_;
   std::vector<Scalar> re_;

@@ -37,6 +37,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "qols/server/session_broker.hpp"
 #include "qols/service/recognizer_service.hpp"
@@ -135,6 +136,9 @@ class Server {
   struct Connection;
 
   void accept_ready();
+  /// On EMFILE/ENFILE: accept and close one queued peer through the reserve
+  /// fd. False when nothing was accepted.
+  bool shed_queued_peer();
   void connection_ready(Connection& conn, std::uint32_t events,
                         std::uint64_t now_ms);
   /// Decode+handle buffered frames within the write-budget; update the
@@ -153,11 +157,15 @@ class Server {
   int epoll_fd_ = -1;
   int listen_fd_ = -1;
   int wake_fd_ = -1;
+  /// Held open (on /dev/null) so fd exhaustion can still accept-and-close.
+  int reserve_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> shutdown_requested_{false};
   bool draining_ = false;
   std::uint64_t drain_deadline_ms_ = 0;
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
+  /// recv() buffer shared by every connection (the loop is one thread).
+  std::vector<std::uint8_t> read_buf_;
   Counters counters_;
 };
 

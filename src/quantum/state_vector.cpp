@@ -9,6 +9,7 @@
 #include <numbers>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define QOLS_X86 1
@@ -490,24 +491,52 @@ void for_pair_runs(std::size_t dim, unsigned q, Fn&& fn) {
   }
 }
 
-// Element-wise pair iteration (i0, i1 = i0|bit) for the cold conditional
-// gates (CNOT, CZ, MCX, arbitrary single-qubit unitaries).
-template <typename Fn>
-void for_pairs(std::size_t dim, unsigned q, Fn&& fn) {
-  const std::size_t half = dim >> 1;
-  const std::size_t low_mask = (std::size_t{1} << q) - 1;
-  const std::size_t bit = std::size_t{1} << q;
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t g = lo; g < hi; ++g) {
-      const std::size_t i0 = ((g & ~low_mask) << 1) | (g & low_mask);
-      fn(i0, i0 | bit);
-    }
-  };
-  if (half <= kParallelGrain) {
-    body(0, half);
-  } else {
-    util::parallel_for(0, half, kParallelGrain, body);
+// Matching-set enumeration, the core of every pattern-controlled gate:
+// visits exactly the basis indices i with (i & fixed) == want. They form
+// contiguous runs [base, base + run) of length run = 2^(trailing free bits),
+// one per subset f of the remaining free bits, stepped in O(1) by the
+// subset-iteration identity f' = (f - free_high) & free_high — no per-qubit
+// walk, and work proportional to the matching count, not to dim. When qubit
+// 0 is fixed (run 1, every A3 oracle) `one(i)` runs inline per index;
+// otherwise `runs(base, run, avx2)` gets each whole run for the vector
+// kernels, with the SIMD mode read once per gate.
+template <typename One, typename Runs>
+void for_matching(std::size_t dim, std::size_t fixed, std::size_t want,
+                  One&& one, Runs&& runs) {
+  assert(fixed < dim && (want & ~fixed) == 0);
+  const std::size_t run =
+      fixed == 0 ? dim : std::size_t{1} << std::countr_zero(fixed);
+  const std::size_t free_high = (dim - 1) & ~fixed & ~(run - 1);
+  std::size_t f = 0;
+  if (run == 1) {
+    do {
+      one(f | want);
+      f = (f - free_high) & free_high;
+    } while (f != 0);
+    return;
   }
+  const bool avx2 = active_simd_mode() == SimdMode::kAvx2;
+  do {
+    runs(f | want, run, avx2);
+    f = (f - free_high) & free_high;
+  } while (f != 0);
+}
+
+// Bits [first, first + count): an index register's mask.
+constexpr std::size_t range_mask(unsigned first, unsigned count) {
+  return ((std::size_t{1} << count) - 1) << first;
+}
+
+// A control pattern as (mask, want): i matches iff (i & mask) == want.
+std::pair<std::size_t, std::size_t> pattern_of(
+    std::span<const ControlTerm> controls) {
+  std::size_t mask = 0;
+  std::size_t want = 0;
+  for (const ControlTerm& c : controls) {
+    mask |= std::size_t{1} << c.qubit;
+    if (c.value) want |= std::size_t{1} << c.qubit;
+  }
+  return {mask, want};
 }
 
 }  // namespace
@@ -628,17 +657,21 @@ void StateVectorT<Scalar>::apply_single(unsigned q, Amplitude u00,
   assert(q < num_qubits_);
   Scalar* re = re_.data();
   Scalar* im = im_.data();
-  for_pairs(dim(), q, [=](std::size_t i0, std::size_t i1) {
-    const Amplitude a{static_cast<double>(re[i0]),
-                      static_cast<double>(im[i0])};
-    const Amplitude b{static_cast<double>(re[i1]),
-                      static_cast<double>(im[i1])};
-    const Amplitude r0 = u00 * a + u01 * b;
-    const Amplitude r1 = u10 * a + u11 * b;
-    re[i0] = static_cast<Scalar>(r0.real());
-    im[i0] = static_cast<Scalar>(r0.imag());
-    re[i1] = static_cast<Scalar>(r1.real());
-    im[i1] = static_cast<Scalar>(r1.imag());
+  const std::size_t bit = std::size_t{1} << q;
+  for_pair_runs(dim(), q, [=](std::size_t lo, std::size_t n) {
+    for (std::size_t i0 = lo; i0 < lo + n; ++i0) {
+      const std::size_t i1 = i0 + bit;
+      const Amplitude a{static_cast<double>(re[i0]),
+                        static_cast<double>(im[i0])};
+      const Amplitude b{static_cast<double>(re[i1]),
+                        static_cast<double>(im[i1])};
+      const Amplitude r0 = u00 * a + u01 * b;
+      const Amplitude r1 = u10 * a + u11 * b;
+      re[i0] = static_cast<Scalar>(r0.real());
+      im[i0] = static_cast<Scalar>(r0.imag());
+      re[i1] = static_cast<Scalar>(r1.real());
+      im[i1] = static_cast<Scalar>(r1.imag());
+    }
   });
 }
 
@@ -646,30 +679,16 @@ template <typename Scalar>
 void StateVectorT<Scalar>::apply_cnot(unsigned control, unsigned target) {
   assert(control < num_qubits_ && target < num_qubits_);
   if (control == target) return;  // paper's a == b => identity convention
-  Scalar* re = re_.data();
-  Scalar* im = im_.data();
   const std::size_t cbit = std::size_t{1} << control;
-  for_pairs(dim(), target, [=](std::size_t i0, std::size_t i1) {
-    if (i0 & cbit) {
-      std::swap(re[i0], re[i1]);
-      std::swap(im[i0], im[i1]);
-    }
-  });
+  swap_matching(cbit, cbit, std::size_t{1} << target);
 }
 
 template <typename Scalar>
 void StateVectorT<Scalar>::apply_cz(unsigned a, unsigned b) {
   assert(a < num_qubits_ && b < num_qubits_);
   if (a == b) return;
-  Scalar* re = re_.data();
-  Scalar* im = im_.data();
-  const std::size_t abit = std::size_t{1} << a;
-  for_pairs(dim(), b, [=](std::size_t /*i0*/, std::size_t i1) {
-    if (i1 & abit) {
-      re[i1] = -re[i1];
-      im[i1] = -im[i1];
-    }
-  });
+  const std::size_t both = (std::size_t{1} << a) | (std::size_t{1} << b);
+  negate_matching(both, both);
 }
 
 template <typename Scalar>
@@ -684,60 +703,48 @@ template <typename Scalar>
 void StateVectorT<Scalar>::apply_mcx(std::span<const ControlTerm> controls,
                                      unsigned target) {
   assert(target < num_qubits_);
-  std::size_t mask = 0;
-  std::size_t want = 0;
-  for (const ControlTerm& c : controls) {
-    assert(c.qubit < num_qubits_ && c.qubit != target);
-    mask |= std::size_t{1} << c.qubit;
-    if (c.value) want |= std::size_t{1} << c.qubit;
-  }
-  Scalar* re = re_.data();
-  Scalar* im = im_.data();
-  for_pairs(dim(), target, [=](std::size_t i0, std::size_t i1) {
-    if ((i0 & mask) == want) {
-      std::swap(re[i0], re[i1]);
-      std::swap(im[i0], im[i1]);
-    }
-  });
-}
-
-// Negates every basis state i with (i & mask) == want, touching ONLY the
-// matching amplitudes: the matching set decomposes into dim / 2^popcount(mask)
-// contiguous runs of length 2^(trailing free bits), enumerated with the
-// subset-iteration identity f' = (f - free_high) & free_high. Work is
-// proportional to the matching count, not to dim — the old full-scan kernel
-// paid O(dim) with a data-dependent branch per element.
-template <typename Scalar>
-void StateVectorT<Scalar>::negate_matching(std::size_t mask,
-                                           std::size_t want) {
-  assert((want & ~mask) == 0);
-  const bool avx2 = active_simd_mode() == SimdMode::kAvx2;
-  Scalar* re = re_.data();
-  Scalar* im = im_.data();
-  const std::size_t run = mask == 0
-                              ? dim()
-                              : std::size_t{1}
-                                    << std::countr_zero(mask);
-  const std::size_t free_high = (dim() - 1) & ~mask & ~(run - 1);
-  std::size_t f = 0;
-  while (true) {
-    const std::size_t base = f | want;
-    neg_run(re + base, im + base, run, avx2);
-    f = (f - free_high) & free_high;
-    if (f == 0) break;
-  }
+  const auto [mask, want] = pattern_of(controls);
+  swap_matching(mask, want, std::size_t{1} << target);
 }
 
 template <typename Scalar>
 void StateVectorT<Scalar>::apply_mcz(std::span<const ControlTerm> controls) {
-  std::size_t mask = 0;
-  std::size_t want = 0;
-  for (const ControlTerm& c : controls) {
-    assert(c.qubit < num_qubits_);
-    mask |= std::size_t{1} << c.qubit;
-    if (c.value) want |= std::size_t{1} << c.qubit;
-  }
+  const auto [mask, want] = pattern_of(controls);
   negate_matching(mask, want);
+}
+
+template <typename Scalar>
+void StateVectorT<Scalar>::negate_matching(std::size_t mask,
+                                           std::size_t want) {
+  Scalar* re = re_.data();
+  Scalar* im = im_.data();
+  for_matching(
+      dim(), mask, want,
+      [=](std::size_t i) {
+        re[i] = -re[i];
+        im[i] = -im[i];
+      },
+      [=](std::size_t base, std::size_t n, bool avx2) {
+        neg_run(re + base, im + base, n, avx2);
+      });
+}
+
+template <typename Scalar>
+void StateVectorT<Scalar>::swap_matching(std::size_t mask, std::size_t want,
+                                         std::size_t tbit) {
+  assert((mask & tbit) == 0 && tbit < dim());
+  Scalar* re = re_.data();
+  Scalar* im = im_.data();
+  for_matching(
+      dim(), mask | tbit, want,
+      [=](std::size_t i) {
+        std::swap(re[i], re[i | tbit]);
+        std::swap(im[i], im[i | tbit]);
+      },
+      [=](std::size_t base, std::size_t n, bool avx2) {
+        swap_run(re + base, re + base + tbit, n, avx2);
+        swap_run(im + base, im + base + tbit, n, avx2);
+      });
 }
 
 // The hot A3 ladder. A naive ladder streams the whole array once per qubit
@@ -821,7 +828,6 @@ void StateVectorT<Scalar>::apply_h_range(unsigned first, unsigned count) {
 template <typename Scalar>
 void StateVectorT<Scalar>::apply_reflect_zero(unsigned first, unsigned count) {
   assert(first + count <= num_qubits_);
-  const std::size_t mask = ((std::size_t{1} << count) - 1) << first;
   // Branchless form of "negate every i with (i & mask) != 0": one streaming
   // negate-all pass, then flip the 2^(n-count) survivors of the zero block
   // back. The second pass costs dim / 2^count — negligible for A3's full
@@ -838,7 +844,7 @@ void StateVectorT<Scalar>::apply_reflect_zero(unsigned first, unsigned count) {
   } else {
     util::parallel_for(0, n, kParallelGrain, body);
   }
-  negate_matching(mask, 0);
+  negate_matching(range_mask(first, count), 0);
 }
 
 template <typename Scalar>
@@ -857,53 +863,19 @@ void StateVectorT<Scalar>::apply_x_on_index(unsigned first, unsigned count,
                                             unsigned target) {
   assert(first + count <= num_qubits_ && target < num_qubits_);
   assert(index < (std::uint64_t{1} << count));
-  // Enumerate the free qubits (outside the index register and the target).
-  const std::size_t index_bits = static_cast<std::size_t>(index) << first;
-  const std::size_t tbit = std::size_t{1} << target;
-  const std::size_t fixed_mask =
-      (((std::size_t{1} << count) - 1) << first) | tbit;
-  const unsigned free_qubits = num_qubits_ - count - 1;
-  const std::size_t iterations = std::size_t{1} << free_qubits;
-  // Map a compact free-index f to a full basis index by depositing its bits
-  // into the positions not covered by fixed_mask.
-  for (std::size_t f = 0; f < iterations; ++f) {
-    std::size_t base = 0;
-    std::size_t rem = f;
-    for (unsigned q = 0; q < num_qubits_; ++q) {
-      const std::size_t qb = std::size_t{1} << q;
-      if (fixed_mask & qb) continue;
-      if (rem & 1) base |= qb;
-      rem >>= 1;
-    }
-    const std::size_t i0 = base | index_bits;
-    std::swap(re_[i0], re_[i0 | tbit]);
-    std::swap(im_[i0], im_[i0 | tbit]);
-  }
+  swap_matching(range_mask(first, count),
+                static_cast<std::size_t>(index) << first,
+                std::size_t{1} << target);
 }
 
 template <typename Scalar>
 void StateVectorT<Scalar>::apply_z_on_index(unsigned first, unsigned count,
                                             std::uint64_t index, unsigned h) {
   assert(first + count <= num_qubits_ && h < num_qubits_);
-  const std::size_t index_bits = static_cast<std::size_t>(index) << first;
+  assert(index < (std::uint64_t{1} << count));
   const std::size_t hbit = std::size_t{1} << h;
-  const std::size_t fixed_mask =
-      (((std::size_t{1} << count) - 1) << first) | hbit;
-  const unsigned free_qubits = num_qubits_ - count - 1;
-  const std::size_t iterations = std::size_t{1} << free_qubits;
-  for (std::size_t f = 0; f < iterations; ++f) {
-    std::size_t base = 0;
-    std::size_t rem = f;
-    for (unsigned q = 0; q < num_qubits_; ++q) {
-      const std::size_t qb = std::size_t{1} << q;
-      if (fixed_mask & qb) continue;
-      if (rem & 1) base |= qb;
-      rem >>= 1;
-    }
-    const std::size_t i = base | index_bits | hbit;
-    re_[i] = -re_[i];
-    im_[i] = -im_[i];
-  }
+  negate_matching(range_mask(first, count) | hbit,
+                  (static_cast<std::size_t>(index) << first) | hbit);
 }
 
 template <typename Scalar>
@@ -912,26 +884,11 @@ void StateVectorT<Scalar>::apply_cx_on_index(unsigned first, unsigned count,
                                              unsigned target) {
   assert(first + count <= num_qubits_);
   assert(h < num_qubits_ && target < num_qubits_ && h != target);
-  const std::size_t index_bits = static_cast<std::size_t>(index) << first;
+  assert(index < (std::uint64_t{1} << count));
   const std::size_t hbit = std::size_t{1} << h;
-  const std::size_t tbit = std::size_t{1} << target;
-  const std::size_t fixed_mask =
-      (((std::size_t{1} << count) - 1) << first) | hbit | tbit;
-  const unsigned free_qubits = num_qubits_ - count - 2;
-  const std::size_t iterations = std::size_t{1} << free_qubits;
-  for (std::size_t f = 0; f < iterations; ++f) {
-    std::size_t base = 0;
-    std::size_t rem = f;
-    for (unsigned q = 0; q < num_qubits_; ++q) {
-      const std::size_t qb = std::size_t{1} << q;
-      if (fixed_mask & qb) continue;
-      if (rem & 1) base |= qb;
-      rem >>= 1;
-    }
-    const std::size_t i0 = base | index_bits | hbit;
-    std::swap(re_[i0], re_[i0 | tbit]);
-    std::swap(im_[i0], im_[i0 | tbit]);
-  }
+  swap_matching(range_mask(first, count) | hbit,
+                (static_cast<std::size_t>(index) << first) | hbit,
+                std::size_t{1} << target);
 }
 
 template <typename Scalar>

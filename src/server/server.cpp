@@ -1,6 +1,7 @@
 #include "qols/server/server.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -53,7 +54,8 @@ std::uint64_t Server::now_ms() noexcept {
           .count());
 }
 
-Server::Server(const Config& config) : config_(config) {
+Server::Server(const Config& config)
+    : config_(config), read_buf_(config.read_chunk) {
   service::RecognizerService::Config svc_cfg;
   svc_cfg.spec = config_.spec;
   svc_cfg.flush_threshold = config_.flush_threshold;
@@ -135,6 +137,8 @@ Server::Server(const Config& config) : config_(config) {
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &lev) < 0) {
     throw_errno("epoll_ctl(listen)");
   }
+  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  if (reserve_fd_ < 0) throw_errno("open(/dev/null)");
 }
 
 Server::~Server() {
@@ -144,6 +148,7 @@ Server::~Server() {
   for (const auto& [fd, conn] : connections_) ::close(fd);
   connections_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (reserve_fd_ >= 0) ::close(reserve_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
@@ -233,7 +238,8 @@ void Server::accept_ready() {
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
-      return;  // transient accept errors (ECONNABORTED, EMFILE) drop the peer
+      if ((errno == EMFILE || errno == ENFILE) && shed_queued_peer()) continue;
+      return;  // transient accept errors (ECONNABORTED) drop the peer
     }
     if (connections_.size() >= config_.max_connections) {
       ::close(fd);
@@ -258,6 +264,20 @@ void Server::accept_ready() {
     connections_.emplace(fd, std::move(conn));
     ++counters_.connections_accepted;
   }
+}
+
+bool Server::shed_queued_peer() {
+  // Out of fds, the peer would stay queued and keep the level-triggered
+  // listen fd readable: epoll_wait would return at once, forever. Spend the
+  // reserve fd to accept it, close it, then take the reserve back.
+  if (reserve_fd_ >= 0) ::close(reserve_fd_);
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd >= 0) {
+    ::close(fd);
+    ++counters_.accept_rejected;
+  }
+  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  return fd >= 0;
 }
 
 void Server::connection_ready(Connection& conn, std::uint32_t events,
@@ -288,12 +308,11 @@ void Server::connection_ready(Connection& conn, std::uint32_t events,
     }
   }
   if ((events & EPOLLIN) != 0 && !conn.closing) {
-    std::vector<std::uint8_t> buf(config_.read_chunk);
     for (;;) {
-      const ssize_t n = ::recv(conn.fd, buf.data(), buf.size(), 0);
+      const ssize_t n = ::recv(conn.fd, read_buf_.data(), read_buf_.size(), 0);
       if (n > 0) {
         counters_.bytes_in += static_cast<std::uint64_t>(n);
-        conn.broker.ingest({buf.data(), static_cast<std::size_t>(n)});
+        conn.broker.ingest({read_buf_.data(), static_cast<std::size_t>(n)});
         pump_connection(conn, now);
         if (connections_.find(fd) == connections_.end()) return;
         if (conn.paused || conn.closing) return;  // backpressure: stop reading

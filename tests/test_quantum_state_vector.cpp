@@ -4,6 +4,9 @@
 #include <cmath>
 #include <complex>
 #include <numbers>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "qols/quantum/state_vector.hpp"
 #include "qols/util/rng.hpp"
@@ -12,7 +15,9 @@ namespace {
 
 using qols::quantum::Amplitude;
 using qols::quantum::ControlTerm;
+using qols::quantum::SimdMode;
 using qols::quantum::StateVector;
+using qols::quantum::StateVectorT;
 using qols::util::Rng;
 
 constexpr double kTol = 1e-12;
@@ -328,5 +333,190 @@ TEST_P(NormPreservation, RandomCircuitKeepsUnitNorm) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, NormPreservation,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 12u, 15u, 16u));
+
+// ---------------------------------------------------------------------------
+// The matching-set kernels (index oracles, MCX, MCZ) against a naive
+// full-scan reference: every (first, count, index, target/h) on registers of
+// 1-7 qubits, including index registers that start above qubit 0 and targets
+// below them, plus random control patterns. Swaps and sign flips are exact,
+// so every component must be EXPECT_EQ-equal, in both precisions and under
+// both forced dispatch paths.
+
+/// Restores the requested dispatch mode on scope exit.
+class SimdModeGuard {
+ public:
+  SimdModeGuard() : saved_(qols::quantum::requested_simd_mode()) {}
+  ~SimdModeGuard() { qols::quantum::set_simd_mode(saved_); }
+  SimdModeGuard(const SimdModeGuard&) = delete;
+  SimdModeGuard& operator=(const SimdModeGuard&) = delete;
+
+ private:
+  SimdMode saved_;
+};
+
+std::vector<SimdMode> forced_modes() {
+  std::vector<SimdMode> modes{SimdMode::kScalar};
+  if (qols::quantum::cpu_supports_avx2()) modes.push_back(SimdMode::kAvx2);
+  return modes;
+}
+
+/// Naive reference register: SoA copies plus full-scan gates that test the
+/// predicate on every basis index.
+template <typename Scalar>
+struct NaiveRegister {
+  std::vector<Scalar> re, im;
+
+  /// Swaps i and i | tbit for every i with bit tbit clear and match(i).
+  template <typename Match>
+  void swap_where(std::size_t tbit, Match match) {
+    for (std::size_t i = 0; i < re.size(); ++i) {
+      if ((i & tbit) == 0 && match(i)) {
+        std::swap(re[i], re[i | tbit]);
+        std::swap(im[i], im[i | tbit]);
+      }
+    }
+  }
+  template <typename Match>
+  void negate_where(Match match) {
+    for (std::size_t i = 0; i < re.size(); ++i) {
+      if (match(i)) {
+        re[i] = -re[i];
+        im[i] = -im[i];
+      }
+    }
+  }
+};
+
+/// A register of distinct random components (any swap or sign error shows),
+/// and its naive twin.
+template <typename Scalar>
+std::pair<StateVectorT<Scalar>, NaiveRegister<Scalar>> random_pair(
+    unsigned n, Rng& rng) {
+  NaiveRegister<Scalar> ref;
+  for (std::size_t i = 0; i < (std::size_t{1} << n); ++i) {
+    ref.re.push_back(static_cast<Scalar>(rng.uniform01() - 0.5));
+    ref.im.push_back(static_cast<Scalar>(rng.uniform01() - 0.5));
+  }
+  StateVectorT<Scalar> sv(n);
+  sv.load(ref.re, ref.im);
+  return {std::move(sv), std::move(ref)};
+}
+
+template <typename Scalar>
+void expect_same(const StateVectorT<Scalar>& sv,
+                 const NaiveRegister<Scalar>& ref, const std::string& what) {
+  for (std::size_t i = 0; i < sv.dim(); ++i) {
+    EXPECT_EQ(sv.re()[i], ref.re[i]) << what << " re[" << i << "]";
+    EXPECT_EQ(sv.im()[i], ref.im[i]) << what << " im[" << i << "]";
+  }
+}
+
+template <typename Scalar>
+class MatchingKernels : public ::testing::Test {};
+using Scalars = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(MatchingKernels, Scalars);
+
+TYPED_TEST(MatchingKernels, IndexOraclesMatchFullScanEverywhere) {
+  using Scalar = TypeParam;
+  SimdModeGuard guard;
+  Rng rng(31);
+  for (const SimdMode mode : forced_modes()) {
+    qols::quantum::set_simd_mode(mode);
+    for (unsigned n = 1; n <= 7; ++n) {
+      for (unsigned first = 0; first <= n; ++first) {
+        for (unsigned count = 0; first + count <= n; ++count) {
+          const std::size_t field = (std::size_t{1} << count) - 1;
+          for (std::uint64_t index = 0; index <= field; ++index) {
+            auto on_index = [=](std::size_t i) {
+              return ((i >> first) & field) == index;
+            };
+            for (unsigned t = 0; t < n; ++t) {
+              if (t >= first && t < first + count) continue;
+              const std::size_t tbit = std::size_t{1} << t;
+              const std::string at =
+                  "mode=" + std::to_string(static_cast<int>(mode)) +
+                  " n=" + std::to_string(n) +
+                  " first=" + std::to_string(first) +
+                  " count=" + std::to_string(count) +
+                  " index=" + std::to_string(index) +
+                  " t=" + std::to_string(t);
+              {
+                auto [sv, ref] = random_pair<Scalar>(n, rng);
+                sv.apply_x_on_index(first, count, index, t);
+                ref.swap_where(tbit, on_index);
+                expect_same(sv, ref, "x_on_index " + at);
+              }
+              {
+                auto [sv, ref] = random_pair<Scalar>(n, rng);
+                sv.apply_z_on_index(first, count, index, t);
+                ref.negate_where(
+                    [&](std::size_t i) { return on_index(i) && (i & tbit); });
+                expect_same(sv, ref, "z_on_index " + at);
+              }
+              for (unsigned h = 0; h < n; ++h) {
+                if (h == t || (h >= first && h < first + count)) continue;
+                const std::size_t hbit = std::size_t{1} << h;
+                auto [sv, ref] = random_pair<Scalar>(n, rng);
+                sv.apply_cx_on_index(first, count, index, h, t);
+                ref.swap_where(tbit, [&](std::size_t i) {
+                  return on_index(i) && (i & hbit);
+                });
+                expect_same(sv, ref,
+                            "cx_on_index h=" + std::to_string(h) + " " + at);
+              }
+              if (::testing::Test::HasFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(MatchingKernels, RandomControlPatternsMatchFullScan) {
+  using Scalar = TypeParam;
+  SimdModeGuard guard;
+  Rng rng(37);
+  for (const SimdMode mode : forced_modes()) {
+    qols::quantum::set_simd_mode(mode);
+    for (unsigned n = 1; n <= 7; ++n) {
+      for (int trial = 0; trial < 200; ++trial) {
+        // A random subset of qubits with random polarities; for MCX the
+        // target is drawn first and kept out of the pattern.
+        const unsigned target = static_cast<unsigned>(rng.below(n));
+        std::vector<ControlTerm> terms;
+        for (unsigned q = 0; q < n; ++q) {
+          if (rng.coin()) terms.push_back({q, rng.coin()});
+        }
+        auto holds = [&](std::size_t i) {
+          for (const ControlTerm& c : terms) {
+            if ((((i >> c.qubit) & 1) != 0) != c.value) return false;
+          }
+          return true;
+        };
+        const std::string at = "mode=" +
+                               std::to_string(static_cast<int>(mode)) +
+                               " n=" + std::to_string(n) +
+                               " trial=" + std::to_string(trial);
+        {
+          auto [sv, ref] = random_pair<Scalar>(n, rng);
+          sv.apply_mcz(terms);
+          ref.negate_where(holds);
+          expect_same(sv, ref, "mcz " + at);
+        }
+        std::erase_if(terms,
+                      [&](const ControlTerm& c) { return c.qubit == target; });
+        {
+          auto [sv, ref] = random_pair<Scalar>(n, rng);
+          sv.apply_mcx(terms, target);
+          ref.swap_where(std::size_t{1} << target, holds);
+          expect_same(sv, ref,
+                      "mcx target=" + std::to_string(target) + " " + at);
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
 
 }  // namespace

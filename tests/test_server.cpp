@@ -1,11 +1,14 @@
 // Unit tests: the network subsystem — wire codec round trips, hostile-frame
 // rejection in the FrameDecoder and SessionBroker, and loopback end-to-end
 // runs against a live epoll Server: framing-invariant verdicts, write-side
-// backpressure, idle eviction + transparent revive, and graceful drain.
+// backpressure, idle eviction + transparent revive, graceful drain, and
+// the accept loop under fd exhaustion.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,6 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <ctime>
 #include <filesystem>
 #include <optional>
 #include <span>
@@ -964,6 +968,95 @@ TEST(ServerLoopback, NewConnectionsAreRefusedWhileDraining) {
     holder.close();
   }
   loop.join();
+}
+
+/// The `"key":<integer>` value in a STATS text, or -1 when absent.
+long long stats_value(const std::string& text, const std::string& key) {
+  const auto at = text.find("\"" + key + "\":");
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + key.size() + 3));
+}
+
+TEST(ServerLoopback, FdExhaustionShedsQueuedPeersWithoutSpinning) {
+  qols::util::Rng rng(43);
+  const auto word = word_of(LDisjInstance::make_disjoint(2, rng));
+  Server::Config cfg;
+  cfg.spec.kind = RecognizerKind::kClassicalBlock;
+  ServerRunner runner(cfg);
+  TestClient first(runner.port());
+  first.hello();
+  first.open(1, 19);
+
+  // Cap this process's fd table at its lowest free fd: connect() on the
+  // excess peers' already-open sockets needs no new fd, but every accept()
+  // of them fails with EMFILE. The guard lifts the cap again on any exit.
+  constexpr int kExcess = 24;
+  struct CappedPeers {
+    rlimit saved{};
+    std::vector<int> fds;
+    ~CappedPeers() {
+      ::setrlimit(RLIMIT_NOFILE, &saved);
+      for (const int fd : fds) ::close(fd);
+    }
+  } peers;
+  for (int i = 0; i < kExcess; ++i) {
+    peers.fds.push_back(::socket(AF_INET, SOCK_STREAM, 0));
+    ASSERT_GE(peers.fds.back(), 0);
+  }
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &peers.saved), 0);
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  const rlimit cap{static_cast<rlim_t>(lowest_free), peers.saved.rlim_max};
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &cap), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(runner.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  for (const int fd : peers.fds) {
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+  }
+
+  // A loop that leaves them queued wakes on the level-triggered listen fd
+  // forever (a full core); one that sheds them goes back to sleep. This
+  // thread sleeps meanwhile, so the process CPU clock is the server's.
+  auto cpu_seconds = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+  };
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double cpu0 = cpu_seconds();
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu = cpu_seconds() - cpu0;
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall0)
+                          .count();
+  ASSERT_LT(cpu, wall / 4) << "server spun on the listen fd: " << cpu
+                           << " s CPU over " << wall << " s";
+
+  // Every excess peer was accepted and closed...
+  for (const int fd : peers.fds) {
+    pollfd p{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&p, 1, 10'000), 1);
+    std::uint8_t byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "peer not closed";
+  }
+  std::vector<std::uint8_t> bytes;
+  wire::append_frame(bytes, wire::FrameType::kStats, {});
+  first.send_all(bytes);
+  const auto stats = first.next_frame();
+  ASSERT_EQ(stats.type, wire::FrameType::kStatsText);
+  EXPECT_EQ(stats_value(wire::read_text(stats.payload), "accept_rejected"),
+            kExcess);
+  // ...and the connection accepted before the cap is still served.
+  bytes.clear();
+  wire::append_feed(bytes, 1, std::span<const Symbol>(word));
+  first.send_all(bytes);
+  expect_verdict_matches(first.finish(1), direct_run(cfg.spec, 19, word),
+                         "under fd exhaustion");
 }
 
 TEST(ServerLoopback, DurableRestartResumesWithExactVerdicts) {
