@@ -3,10 +3,15 @@
 // the qols wire protocol (wire.hpp) over a shared RecognizerService.
 //
 // Threading model: ONE event-loop thread. RecognizerService's public API is
-// single-acceptor by contract; parallelism lives inside flush(), which fans
-// shard drains across the ThreadPool. The loop therefore never contends on
-// session state — it decodes frames, hands them to each connection's
-// SessionBroker, and moves bytes.
+// single-acceptor by contract; the loop is the acceptor. Parallelism lives
+// in two service calls the loop makes: flush(), which fans shard drains
+// across the ThreadPool, and finish(span), which drains and finishes a
+// batch of detached sessions on the pool with the loop thread claiming
+// sessions too. Each SessionBroker::pump() batches the FINISH frames it
+// decodes, and the loop reads ahead up to read_chunk per pool thread before
+// pumping, so a pump holds several FINISHes. The loop otherwise never
+// contends on session state — it decodes frames, hands them to each
+// connection's SessionBroker, and moves bytes.
 //
 // Backpressure (per connection):
 //   - responses accumulate in a bounded write buffer; writes are driven by
@@ -57,7 +62,8 @@ class Server {
     std::uint64_t max_sessions = std::uint64_t{1} << 17;
     /// Write-buffer high watermark per connection; reads pause above it.
     std::size_t write_buffer_cap = std::size_t{1} << 20;
-    /// recv() chunk size.
+    /// recv() chunk size. A connection reads up to read_chunk per pool
+    /// thread before its frames are pumped.
     std::size_t read_chunk = std::size_t{1} << 16;
     /// RecognizerService batching threshold (symbols per shard).
     std::uint64_t flush_threshold = std::uint64_t{1} << 18;
@@ -166,6 +172,12 @@ class Server {
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
   /// recv() buffer shared by every connection (the loop is one thread).
   std::vector<std::uint8_t> read_buf_;
+  /// Bytes a connection may ingest before it is pumped: read_chunk per pool
+  /// thread (256 KiB on 4 threads). On quantum-k5 on a 4-core host, one
+  /// 64 KiB recv() per pump averaged one FINISH per pump; a 1 MiB
+  /// read-ahead queued whole client windows behind one pump (p50 latency
+  /// 22 -> 57 ms).
+  std::size_t read_ahead_ = 0;
   Counters counters_;
 };
 

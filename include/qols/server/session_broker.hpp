@@ -18,6 +18,15 @@
 // FEED frames or ingest() calls (fuzz property P8 enforces this against
 // direct RecognizerService runs).
 //
+// Batching: a FINISH is not finished on the spot. pump() appends a
+// fixed-size VERDICT placeholder, defers the id, and finishes every deferred
+// id as one RecognizerService::finish(span) batch — across the pool when the
+// sessions are large — patching the placeholders in place. The batch is
+// completed before pump() returns and before any frame whose response
+// depends on it (HELLO, RESUME, STATS, METRICS, an OPEN of a pending id or
+// at the session limit), so the response bytes are exactly those of
+// handling one frame at a time.
+//
 // Wire session ids ARE service session ids (RecognizerService::open_at), so
 // there is no translation table; the broker tracks which ids this
 // connection owns and refuses to touch another connection's sessions.
@@ -102,7 +111,10 @@ class SessionBroker {
   /// `out_budget` (the transport's write-buffer cap — remaining frames stay
   /// buffered for the next pump, which is what "stop reading under
   /// backpressure" hangs off). `now_ms` stamps session activity for idle
-  /// eviction; any monotonic milli-clock works, 0 is fine for tests.
+  /// eviction; any monotonic milli-clock works, 0 is fine for tests. The
+  /// FINISHes decoded by one call are finished as one batch. Should that
+  /// batch throw (a recognizer or spill failure), `out` is cut back to the
+  /// first VERDICT placeholder and the exception propagates.
   PumpResult pump(std::vector<std::uint8_t>& out, std::size_t out_budget,
                   std::uint64_t now_ms = 0);
 
@@ -123,8 +135,9 @@ class SessionBroker {
   std::uint32_t negotiated_version() const noexcept { return version_; }
 
   /// Peer went away: with preserve_on_disconnect, release_sessions();
-  /// otherwise finishes and discards every session this connection still
-  /// owns. Returns how many sessions were handled either way.
+  /// otherwise finishes and discards, as one batch, every session this
+  /// connection still owns. Returns how many sessions were handled either
+  /// way.
   std::size_t abandon_sessions() noexcept;
 
   /// Detaches every session from this connection WITHOUT finishing it — the
@@ -133,9 +146,16 @@ class SessionBroker {
   std::size_t release_sessions() noexcept;
 
  private:
+  /// pump() minus completing the FINISH batch.
+  PumpResult handle_frames(std::vector<std::uint8_t>& out,
+                           std::size_t out_budget, std::uint64_t now_ms);
   /// Handles one frame; returns false when the connection must close.
   bool handle(const wire::Frame& frame, std::vector<std::uint8_t>& out,
               std::uint64_t now_ms);
+  /// Finishes the deferred FINISHes as one batch and patches their VERDICT
+  /// placeholders in `out`.
+  void complete_finishes(std::vector<std::uint8_t>& out);
+  bool finish_pending(std::uint64_t session) const noexcept;
   bool fail(std::vector<std::uint8_t>& out, wire::ErrorCode code,
             std::uint64_t session, std::string message);
 
@@ -143,6 +163,13 @@ class SessionBroker {
   wire::FrameDecoder decoder_;
   /// Wire/service session id -> last-activity stamp (ms, caller's clock).
   std::unordered_map<std::uint64_t, std::uint64_t> sessions_;
+  /// FINISHes deferred within the current pump(), in frame order: the
+  /// session and the offset of its VERDICT placeholder in `out`.
+  struct PendingFinish {
+    std::uint64_t session;
+    std::size_t offset;
+  };
+  std::vector<PendingFinish> pending_;
   bool hello_done_ = false;
   bool closed_ = false;
   std::uint32_t version_ = 0;  ///< negotiated by HELLO

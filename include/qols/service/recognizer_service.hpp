@@ -22,10 +22,15 @@
 //   Verdict va = svc.finish(a);   // sessions finish in any order
 //
 // The public API is meant to be driven from one thread (the "acceptor");
-// parallelism happens inside flush(), across sessions. Exception: evict(),
-// revive(), evicted(), feed(), and stats() may race a flush() draining on
-// the pool — they synchronize on per-shard slot locks. Map-shape operations
-// (open/open_at/finish) remain acceptor-only.
+// parallelism happens inside flush() and finish(span), across sessions.
+// flush() drains shards on the pool, one task per shard. finish(span)
+// detaches its sessions from the map on the acceptor, then lets any pool
+// thread (or the acceptor itself) drain and finish each detached session —
+// no shard lock is held, because nothing else can reach a detached session.
+// Exception to the one-thread rule: evict(), revive(), evicted(), feed(),
+// and stats() may race a flush() draining on the pool — they synchronize on
+// per-shard slot locks. Map-shape operations (open/open_at/finish) remain
+// acceptor-only.
 
 #include <cstddef>
 #include <cstdint>
@@ -132,7 +137,8 @@ class RecognizerService {
     std::uint64_t sessions_finished = 0;
     std::uint64_t symbols_ingested = 0;
     std::uint64_t flushes = 0;
-    /// Wall-clock spent inside flush drains (the recognizer work).
+    /// Wall-clock spent in recognizer work: flush drains, borrowed feeds
+    /// and finish batches, each counted once however many threads it used.
     double busy_seconds = 0.0;
     std::uint64_t evictions = 0;
     std::uint64_t revives = 0;
@@ -202,8 +208,20 @@ class RecognizerService {
   /// Drains the session's remaining buffer, finishes the recognizer, and
   /// retires the session (reviving it first if evicted; its spill file is
   /// removed). Sessions may finish in any order. Throws std::out_of_range
-  /// on an unknown or already-finished session.
+  /// on an unknown or already-finished session. A batch of one.
   Verdict finish(SessionId id);
+
+  /// Finishes a batch of sessions and returns their verdicts in span order,
+  /// each bit-identical to finish(id) on its own. Every id is validated
+  /// first: an unknown id throws std::out_of_range, a repeated one
+  /// std::invalid_argument, and neither touches any session. Evicted
+  /// sessions are revived, then all are detached and drained + finished —
+  /// across the pool when at least two of them hold a large buffer, else
+  /// inline. The journal (kFinish, span order) and Stats are written on the
+  /// caller afterwards. A recognizer that throws retires its session
+  /// without a verdict; the first such exception is rethrown after the
+  /// whole batch's bookkeeping.
+  std::vector<Verdict> finish(std::span<const SessionId> ids);
 
   /// Spills an idle session to disk: drains its buffer, serializes the
   /// recognizer (OnlineRecognizer::snapshot) into a file under the spill
@@ -284,6 +302,8 @@ class RecognizerService {
   std::uint64_t manifest_records() const noexcept;
 
   std::size_t open_sessions() const noexcept { return sessions_.size(); }
+  /// True while `id` is open (resident or evicted).
+  bool contains(SessionId id) const noexcept { return sessions_.contains(id); }
   /// Total buffered symbols, summed over shards (not maintained globally on
   /// the feed hot path).
   std::uint64_t buffered_symbols() const noexcept;
@@ -356,9 +376,6 @@ class RecognizerService {
   };
 
   Session& session_or_throw(SessionId id);
-  /// Locks the session's shard, then drains. Safe against a concurrent
-  /// flush() on the pool.
-  void drain_inline(SessionId id, Session& session);
   /// Feeds the session's buffered symbols inline and removes it from its
   /// shard's ready list. Preconditions: session is resident AND the caller
   /// holds that session's shard mutex.

@@ -13,8 +13,8 @@ ExperimentResult TrialEngine::run_trials(const TrialFn& trial,
 
   std::atomic<std::uint64_t> accepts{0};
   std::atomic<std::uint64_t> not_simulated{0};
-  // Written only by the shard owning trial 0; published by the pool's
-  // wait_idle() barrier before it is read below.
+  // Written only by the shard owning trial 0; published by parallel_for's
+  // completion barrier before it is read below.
   machine::SpaceReport space;
 
   auto run_range = [&](std::size_t lo, std::size_t hi) {

@@ -56,6 +56,10 @@ std::uint64_t Server::now_ms() noexcept {
 
 Server::Server(const Config& config)
     : config_(config), read_buf_(config.read_chunk) {
+  read_ahead_ = config_.read_chunk *
+                (config_.pool != nullptr ? *config_.pool
+                                         : util::ThreadPool::global())
+                    .thread_count();
   service::RecognizerService::Config svc_cfg;
   svc_cfg.spec = config_.spec;
   svc_cfg.flush_threshold = config_.flush_threshold;
@@ -309,23 +313,36 @@ void Server::connection_ready(Connection& conn, std::uint32_t events,
   }
   if ((events & EPOLLIN) != 0 && !conn.closing) {
     for (;;) {
-      const ssize_t n = ::recv(conn.fd, read_buf_.data(), read_buf_.size(), 0);
-      if (n > 0) {
-        counters_.bytes_in += static_cast<std::uint64_t>(n);
-        conn.broker.ingest({read_buf_.data(), static_cast<std::size_t>(n)});
+      // Read ahead up to read_ahead_ bytes before pumping, so one pump sees
+      // enough FINISH frames to batch them across the pool.
+      std::size_t got = 0;
+      bool drained = false;  // EAGAIN: the socket is empty for now
+      bool gone = false;     // orderly close or a socket error
+      while (got < read_ahead_) {
+        const ssize_t n =
+            ::recv(conn.fd, read_buf_.data(), read_buf_.size(), 0);
+        if (n > 0) {
+          counters_.bytes_in += static_cast<std::uint64_t>(n);
+          conn.broker.ingest({read_buf_.data(), static_cast<std::size_t>(n)});
+          got += static_cast<std::size_t>(n);
+          continue;
+        }
+        if (n < 0 && errno == EINTR) continue;
+        drained = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+        gone = !drained;
+        break;
+      }
+      if (got > 0) {
         pump_connection(conn, now);
         if (connections_.find(fd) == connections_.end()) return;
-        if (conn.paused || conn.closing) return;  // backpressure: stop reading
-        continue;
+        // Backpressure: stop reading. A seen close is read again on resume.
+        if (conn.paused || conn.closing) return;
       }
-      if (n == 0) {  // orderly peer close
+      if (gone) {
         close_connection(fd);
         return;
       }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      close_connection(fd);
-      return;
+      if (drained) return;
     }
   }
 }

@@ -1,11 +1,13 @@
 #include "qols/server/session_broker.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "qols/util/json.hpp"
+#include "qols/util/stopwatch.hpp"
 
 namespace qols::server {
 
@@ -40,6 +42,20 @@ SessionBroker::PumpResult SessionBroker::pump(std::vector<std::uint8_t>& out,
                                               std::size_t out_budget,
                                               std::uint64_t now_ms) {
   if (closed_) return PumpResult::kClose;
+  PumpResult result;
+  try {
+    result = handle_frames(out, out_budget, now_ms);
+  } catch (...) {
+    complete_finishes(out);
+    throw;
+  }
+  complete_finishes(out);
+  return result;
+}
+
+SessionBroker::PumpResult SessionBroker::handle_frames(
+    std::vector<std::uint8_t>& out, std::size_t out_budget,
+    std::uint64_t now_ms) {
   for (;;) {
     if (out.size() >= out_budget) {
       return has_buffered_frames() ? PumpResult::kOutBudget
@@ -61,6 +77,49 @@ SessionBroker::PumpResult SessionBroker::pump(std::vector<std::uint8_t>& out,
       return PumpResult::kClose;
     }
   }
+}
+
+bool SessionBroker::finish_pending(std::uint64_t session) const noexcept {
+  return std::any_of(
+      pending_.begin(), pending_.end(),
+      [session](const PendingFinish& p) { return p.session == session; });
+}
+
+void SessionBroker::complete_finishes(std::vector<std::uint8_t>& out) {
+  if (pending_.empty()) return;
+  std::vector<std::uint64_t> ids;
+  ids.reserve(pending_.size());
+  for (const PendingFinish& p : pending_) ids.push_back(p.session);
+  std::vector<service::RecognizerService::Verdict> verdicts;
+  std::uint64_t ns = 0;
+  try {
+    util::Stopwatch watch;
+    verdicts = shared_.svc.finish(ids);
+    ns = static_cast<std::uint64_t>(watch.seconds() * 1e9);
+  } catch (...) {
+    // No verdict may go out unpatched: drop every response from the first
+    // placeholder on.
+    out.resize(pending_.front().offset);
+    pending_.clear();
+    throw;
+  }
+  std::vector<std::uint8_t> frame;
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    const auto& verdict = verdicts[i];
+    wire::WireVerdict wv;
+    wv.session = pending_[i].session;
+    wv.accepted = verdict.accepted;
+    wv.fully_simulated = verdict.fully_simulated;
+    wv.classical_bits = verdict.space.classical_bits;
+    wv.qubits = verdict.space.qubits;
+    frame.clear();
+    wire::append_verdict(frame, wv);
+    std::copy(frame.begin(), frame.end(),
+              out.begin() + static_cast<std::ptrdiff_t>(pending_[i].offset));
+    // Each FINISH frame waited for the whole batch.
+    shared_.finish_frame_ns.record(ns);
+  }
+  pending_.clear();
 }
 
 bool SessionBroker::has_buffered_frames() const noexcept {
@@ -91,19 +150,21 @@ std::size_t SessionBroker::evict_idle(std::uint64_t cutoff_ms) {
 
 std::size_t SessionBroker::abandon_sessions() noexcept {
   if (shared_.opts.preserve_on_disconnect) return release_sessions();
-  std::size_t n = 0;
+  std::vector<std::uint64_t> ids;
   for (const auto& [id, stamp] : sessions_) {
     (void)stamp;
     shared_.owned.erase(id);
-    try {
-      shared_.svc.finish(id);
-      ++n;
-    } catch (const std::exception&) {
-      // Session already gone; nothing to reclaim.
-    }
+    if (shared_.svc.contains(id)) ids.push_back(id);
   }
   sessions_.clear();
-  return n;
+  // Sorted: the service journals kFinish in span order.
+  std::sort(ids.begin(), ids.end());
+  try {
+    shared_.svc.finish(ids);
+  } catch (const std::exception&) {
+    return 0;  // a recognizer or spill failed; nothing more to reclaim
+  }
+  return ids.size();
 }
 
 std::size_t SessionBroker::release_sessions() noexcept {
@@ -137,6 +198,7 @@ bool SessionBroker::handle(const wire::Frame& frame,
 
   switch (frame.type) {
     case FrameType::kHello: {
+      complete_finishes(out);
       if (hello_done_) {
         return fail(out, ErrorCode::kProtocolError, 0, "duplicate HELLO");
       }
@@ -188,6 +250,11 @@ bool SessionBroker::handle(const wire::Frame& frame,
         return fail(out, ErrorCode::kDraining, open.session,
                     "server is draining");
       }
+      // A pending FINISH still holds its id and its slot in the service.
+      if (finish_pending(open.session) ||
+          shared_.svc.open_sessions() >= shared_.opts.max_sessions) {
+        complete_finishes(out);
+      }
       if (shared_.svc.open_sessions() >= shared_.opts.max_sessions) {
         return fail(out, ErrorCode::kOverLimit, open.session,
                     "session limit reached");
@@ -206,6 +273,7 @@ bool SessionBroker::handle(const wire::Frame& frame,
     }
 
     case FrameType::kResume: {
+      complete_finishes(out);
       if (version_ < 2) {
         return fail(out, ErrorCode::kProtocolError, 0,
                     "RESUME requires protocol version 2");
@@ -278,25 +346,18 @@ bool SessionBroker::handle(const wire::Frame& frame,
         return fail(out, ErrorCode::kUnknownSession, fin.session,
                     "session not open on this connection");
       }
-      service::RecognizerService::Verdict verdict;
-      {
-        telemetry::ScopedTimer timer(shared_.finish_frame_ns);
-        verdict = shared_.svc.finish(fin.session);
-      }
+      // Deferred: the pump finishes its FINISHes as one batch, then patches
+      // this fixed-size placeholder with the real VERDICT.
       sessions_.erase(it);
       shared_.owned.erase(fin.session);
-      wire::WireVerdict wv;
-      wv.session = fin.session;
-      wv.accepted = verdict.accepted;
-      wv.fully_simulated = verdict.fully_simulated;
-      wv.classical_bits = verdict.space.classical_bits;
-      wv.qubits = verdict.space.qubits;
-      wire::append_verdict(out, wv);
+      pending_.push_back({fin.session, out.size()});
+      wire::append_verdict(out, {.session = fin.session});
       shared_.frames_out.add();
       return true;
     }
 
     case FrameType::kStats: {
+      complete_finishes(out);
       if (!frame.payload.empty()) {
         shared_.malformed.add();
         return fail(out, ErrorCode::kMalformedFrame, 0,
@@ -330,6 +391,7 @@ bool SessionBroker::handle(const wire::Frame& frame,
     }
 
     case FrameType::kMetrics: {
+      complete_finishes(out);
       if (!frame.payload.empty()) {
         shared_.malformed.add();
         return fail(out, ErrorCode::kMalformedFrame, 0,

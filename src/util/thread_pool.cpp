@@ -1,6 +1,9 @@
 #include "qols/util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 namespace qols::util {
 
@@ -73,9 +76,49 @@ void ThreadPool::worker_loop() {
   }
 }
 
+namespace {
+
+/// One parallel_for call's shared state. Helper tasks hold it by shared_ptr:
+/// a helper that starts after the caller has returned finds every chunk
+/// claimed and leaves without touching `fn`.
+struct Loop {
+  Loop(const std::function<void(std::size_t, std::size_t)>& f,
+       std::size_t b, std::size_t e, std::size_t c)
+      : fn(f), begin(b), end(e), chunk(c), chunks((e - b + c - 1) / c) {}
+
+  const std::function<void(std::size_t, std::size_t)>& fn;
+  const std::size_t begin, end, chunk, chunks;
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t done = 0;
+  std::exception_ptr error;
+
+  /// Claims and runs chunks until none is left.
+  void work() {
+    for (;;) {
+      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
+      const std::size_t lo = begin + c * chunk;
+      std::exception_ptr err;
+      try {
+        fn(lo, std::min(end, lo + chunk));
+      } catch (...) {
+        err = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (err && !error) error = err;
+      if (++done == chunks) cv.notify_all();
+    }
+  }
+};
+
+}  // namespace
+
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& fn) {
+                  const std::function<void(std::size_t, std::size_t)>& fn,
+                  std::size_t chunk) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
   if (grain == 0) grain = 1;
@@ -84,13 +127,19 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
     fn(begin, end);
     return;
   }
-  // One chunk per worker, but never below the grain size.
-  const std::size_t chunk = std::max(grain, (n + workers - 1) / workers);
-  for (std::size_t lo = begin; lo < end; lo += chunk) {
-    const std::size_t hi = std::min(end, lo + chunk);
-    pool.submit([&fn, lo, hi] { fn(lo, hi); });
+  // Default: one chunk per worker, but never below the grain size.
+  if (chunk == 0) chunk = std::max(grain, (n + workers - 1) / workers);
+  const auto loop = std::make_shared<Loop>(fn, begin, end, chunk);
+  // The caller is one of the claimants, so at most workers - 1 helpers keep
+  // the number of busy threads at the pool size.
+  const std::size_t helpers = std::min(loop->chunks, workers) - 1;
+  for (std::size_t i = 0; i < helpers; ++i) {
+    pool.submit([loop] { loop->work(); });
   }
-  pool.wait_idle();
+  loop->work();
+  std::unique_lock<std::mutex> lock(loop->mu);
+  loop->cv.wait(lock, [&] { return loop->done == loop->chunks; });
+  if (loop->error) std::rethrow_exception(loop->error);
 }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,

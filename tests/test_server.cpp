@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <ctime>
+#include <functional>
 #include <filesystem>
 #include <optional>
 #include <span>
@@ -613,6 +614,192 @@ TEST(SessionBroker, OutputBudgetParksFramesForTheNextPump) {
             SessionBroker::PumpResult::kIdle);
   EXPECT_EQ(fx.drain_responses().size(), 9u);
   EXPECT_FALSE(fx.broker.has_buffered_frames());
+}
+
+// ---------------------------------------------------------------------------
+// FINISH batching: one pump finishes its FINISH frames as one service batch,
+// yet answers with exactly the bytes of handling one frame per pump.
+
+std::vector<std::uint8_t> frame_bytes(
+    const std::function<void(std::vector<std::uint8_t>&)>& append) {
+  std::vector<std::uint8_t> bytes;
+  append(bytes);
+  return bytes;
+}
+
+/// Hands `frames` to a fresh broker — all at once and pumped once, or one
+/// frame per pump — after `setup` (HELLO, OPENs, FEEDs) was pumped, and
+/// returns the responses to `frames` only.
+std::vector<std::uint8_t> serve_frames(
+    const std::vector<std::vector<std::uint8_t>>& setup,
+    const std::vector<std::vector<std::uint8_t>>& frames, bool one_pump,
+    BrokerShared::Options opts = {}) {
+  BrokerFixture fx(opts);
+  for (const auto& f : setup) fx.feed_bytes(f);
+  fx.out.clear();
+  if (one_pump) {
+    for (const auto& f : frames) fx.broker.ingest(f);
+    EXPECT_EQ(fx.broker.pump(fx.out, std::size_t{1} << 24),
+              SessionBroker::PumpResult::kIdle);
+  } else {
+    for (const auto& f : frames) fx.feed_bytes(f);
+  }
+  return fx.out;
+}
+
+/// The STATS document minus its wall-clock field.
+std::string stats_without_clock(std::span<const std::uint8_t> payload) {
+  std::string text(payload.begin(), payload.end());
+  const auto at = text.find("\"busy_seconds\":");
+  if (at == std::string::npos) return text;
+  const auto end = text.find_first_of(",}", at);
+  return text.erase(at, end - at);
+}
+
+/// Sessions 1, 3 and 5 opened and fed whole k=5 words: each buffer is above
+/// the service's pool gate, so a batch of two or more runs on the pool.
+std::vector<std::vector<std::uint8_t>> batch_setup(
+    const std::vector<Symbol>& word) {
+  std::vector<std::vector<std::uint8_t>> setup;
+  setup.push_back(frame_bytes([](auto& b) { wire::append_hello(b, {}); }));
+  for (const std::uint64_t id : {1, 3, 5}) {
+    setup.push_back(
+        frame_bytes([&](auto& b) { wire::append_open(b, {id, 100 + id}); }));
+    setup.push_back(
+        frame_bytes([&](auto& b) { wire::append_feed(b, id, word); }));
+  }
+  return setup;
+}
+
+TEST(SessionBrokerBatch, OnePumpAnswersWithTheBytesOfOneFramePerPump) {
+  qols::util::Rng rng(61);
+  const auto word = word_of(LDisjInstance::make_with_intersections(5, 1, rng));
+  const auto setup = batch_setup(word);
+  // FINISH a, OPEN b, FINISH c, OPEN a (a is pending: completes the batch),
+  // then FINISH e, STATS (e is pending: STATS must count it finished).
+  const std::vector<std::vector<std::uint8_t>> frames{
+      frame_bytes([](auto& b) { wire::append_finish(b, {1}); }),
+      frame_bytes([](auto& b) { wire::append_open(b, {2, 7}); }),
+      frame_bytes([](auto& b) { wire::append_finish(b, {3}); }),
+      frame_bytes([](auto& b) { wire::append_open(b, {1, 8}); }),
+      frame_bytes([](auto& b) { wire::append_finish(b, {5}); }),
+      frame_bytes(
+          [](auto& b) { wire::append_frame(b, wire::FrameType::kStats, {}); }),
+  };
+  const auto batched = serve_frames(setup, frames, /*one_pump=*/true);
+  const auto sequential = serve_frames(setup, frames, /*one_pump=*/false);
+
+  wire::FrameDecoder got_dec, want_dec;
+  got_dec.append(batched);
+  want_dec.append(sequential);
+  std::vector<wire::FrameType> types;
+  for (;;) {
+    const auto got = got_dec.next();
+    const auto want = want_dec.next();
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!got) break;
+    ASSERT_EQ(got->type, want->type);
+    types.push_back(got->type);
+    if (got->type == wire::FrameType::kStatsText) {
+      // busy_seconds is a wall clock; every other field must agree.
+      EXPECT_EQ(stats_without_clock(got->payload),
+                stats_without_clock(want->payload));
+    } else {
+      EXPECT_TRUE(std::equal(got->payload.begin(), got->payload.end(),
+                             want->payload.begin(), want->payload.end()))
+          << wire::frame_type_name(got->type);
+    }
+  }
+  EXPECT_EQ(types, (std::vector<wire::FrameType>{
+                       wire::FrameType::kVerdict, wire::FrameType::kOpenOk,
+                       wire::FrameType::kVerdict, wire::FrameType::kOpenOk,
+                       wire::FrameType::kVerdict,
+                       wire::FrameType::kStatsText}));
+
+  // The bytes are also right, not merely consistent.
+  wire::FrameDecoder dec;
+  dec.append(batched);
+  const auto spec = BrokerFixture::service_config().spec;
+  expect_verdict_matches(wire::read_verdict(dec.next()->payload),
+                         direct_run(spec, 101, word), "session 1");
+  dec.next();
+  expect_verdict_matches(wire::read_verdict(dec.next()->payload),
+                         direct_run(spec, 103, word), "session 3");
+  dec.next();
+  expect_verdict_matches(wire::read_verdict(dec.next()->payload),
+                         direct_run(spec, 105, word), "session 5");
+}
+
+TEST(SessionBrokerBatch, OutputBudgetStopCompletesThePendingFinishes) {
+  qols::util::Rng rng(62);
+  const auto word = word_of(LDisjInstance::make_disjoint(5, rng));
+  BrokerFixture fx;
+  for (const auto& f : batch_setup(word)) fx.feed_bytes(f);
+  fx.out.clear();
+  std::vector<std::uint8_t> bytes;
+  for (const std::uint64_t id : {1, 3, 5}) wire::append_finish(bytes, {id});
+  wire::append_frame(bytes, wire::FrameType::kStats, {});
+  fx.broker.ingest(bytes);
+  // Two 31-byte VERDICTs cross a 40-byte budget: the pump stops with both
+  // FINISHes answered for real and the rest parked.
+  ASSERT_EQ(fx.broker.pump(fx.out, 40), SessionBroker::PumpResult::kOutBudget);
+  EXPECT_TRUE(fx.broker.has_buffered_frames());
+  const auto spec = BrokerFixture::service_config().spec;
+  auto frames = fx.drain_responses();
+  ASSERT_EQ(frames.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(frames[i].first, wire::FrameType::kVerdict);
+    const auto v = wire::read_verdict(frames[i].second);
+    EXPECT_EQ(v.session, 1u + 2 * i);
+    expect_verdict_matches(v, direct_run(spec, 101 + 2 * i, word), "parked");
+  }
+  EXPECT_EQ(fx.svc.open_sessions(), 1u);
+  ASSERT_EQ(fx.broker.pump(fx.out, std::size_t{1} << 24),
+            SessionBroker::PumpResult::kIdle);
+  frames = fx.drain_responses();
+  ASSERT_EQ(frames.size(), 2u);
+  ASSERT_EQ(frames[0].first, wire::FrameType::kVerdict);
+  expect_verdict_matches(wire::read_verdict(frames[0].second),
+                         direct_run(spec, 105, word), "after the stop");
+  EXPECT_EQ(frames[1].first, wire::FrameType::kStatsText);
+}
+
+TEST(SessionBrokerBatch, SessionLimitWithFinishesPendingMatchesSequential) {
+  qols::util::Rng rng(63);
+  const auto word = word_of(LDisjInstance::make_disjoint(5, rng));
+  auto setup = batch_setup(word);
+  setup.resize(5);  // HELLO + sessions 1 and 3: at the limit of two
+  const std::vector<std::vector<std::uint8_t>> frames{
+      frame_bytes([](auto& b) { wire::append_finish(b, {1}); }),
+      frame_bytes([](auto& b) { wire::append_open(b, {2, 7}); }),
+      frame_bytes([](auto& b) { wire::append_finish(b, {3}); }),
+      frame_bytes([](auto& b) { wire::append_open(b, {4, 7}); }),
+      frame_bytes([](auto& b) { wire::append_open(b, {6, 7}); }),
+  };
+  BrokerShared::Options opts;
+  opts.max_sessions = 2;
+  const auto batched = serve_frames(setup, frames, true, opts);
+  EXPECT_EQ(batched, serve_frames(setup, frames, false, opts));
+  wire::FrameDecoder dec;
+  dec.append(batched);
+  std::vector<wire::FrameType> types;
+  while (auto f = dec.next()) types.push_back(f->type);
+  EXPECT_EQ(types, (std::vector<wire::FrameType>{
+                       wire::FrameType::kVerdict, wire::FrameType::kOpenOk,
+                       wire::FrameType::kVerdict, wire::FrameType::kOpenOk,
+                       wire::FrameType::kError}));
+}
+
+TEST(SessionBrokerBatch, AbandonFinishesEverySessionInOneBatch) {
+  qols::util::Rng rng(64);
+  const auto word = word_of(LDisjInstance::make_disjoint(5, rng));
+  BrokerFixture fx;
+  for (const auto& f : batch_setup(word)) fx.feed_bytes(f);
+  ASSERT_EQ(fx.svc.open_sessions(), 3u);
+  EXPECT_EQ(fx.broker.abandon_sessions(), 3u);
+  EXPECT_EQ(fx.svc.open_sessions(), 0u);
+  EXPECT_EQ(fx.svc.stats().sessions_finished, 3u);
+  EXPECT_EQ(fx.broker.open_sessions(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@
 #include "qols/machine/online_recognizer.hpp"
 #include "qols/service/recognizer_service.hpp"
 #include "qols/stream/symbol_stream.hpp"
+#include "qols/util/stopwatch.hpp"
 #include "qols/util/thread_pool.hpp"
 
 namespace {
@@ -781,6 +782,197 @@ TEST(RecognizerService, EvictAndEvictedRaceFreeWithPoolFlushes) {
     auto reference = spec.make(40 + s);
     reference->feed_chunk(word);
     EXPECT_EQ(svc.finish(parked_ids[s]).accepted, reference->finish());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// finish(span): a batch of sessions finished together, across the pool when
+// at least two of them hold a large buffer.
+
+/// Opens the batch-test sessions on `svc` and leaves them in a mix of
+/// states: large buffers (above the pool gate), small buffers, an evicted
+/// session, a session whose buffer a flush already drained, and one never
+/// fed. Returns the ids in the order they were opened.
+std::vector<RecognizerService::SessionId> open_batch_mix(
+    RecognizerService& svc, const std::vector<Symbol>& big,
+    const std::vector<Symbol>& small) {
+  std::vector<RecognizerService::SessionId> ids;
+  for (std::uint64_t s = 0; s < 7; ++s) ids.push_back(svc.open(500 + s));
+  svc.feed(ids[0], big);    // large
+  svc.feed(ids[1], small);  // small
+  svc.feed(ids[2], big);    // large, then evicted (buffer drained)
+  svc.evict(ids[2]);
+  svc.feed(ids[4], big);    // drained by the flush below
+  svc.flush();
+  svc.feed(ids[3], big);    // large
+  svc.feed(ids[5], small);  // small
+  // ids[6] is never fed: an empty buffer and an empty word.
+  return ids;
+}
+
+void expect_same_verdict(const RecognizerService::Verdict& got,
+                         const RecognizerService::Verdict& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.accepted, want.accepted) << what;
+  EXPECT_EQ(got.fully_simulated, want.fully_simulated) << what;
+  EXPECT_EQ(got.space.classical_bits, want.space.classical_bits) << what;
+  EXPECT_EQ(got.space.qubits, want.space.qubits) << what;
+}
+
+TEST(RecognizerServiceBatch, FinishSpanMatchesOneAtATimeBitForBit) {
+  // Quantum sessions consume RNG state fixed by their seed, so any mixing of
+  // sessions across threads would show in the verdicts.
+  qols::util::Rng rng(90);
+  const auto big = word_of(LDisjInstance::make_with_intersections(5, 1, rng));
+  const auto small = word_of(LDisjInstance::make_disjoint(3, rng));
+  ASSERT_GE(big.size(), std::size_t{1} << 14);  // above the pool gate
+  ASSERT_LT(small.size(), std::size_t{1} << 14);
+  qols::util::ThreadPool pool(4);
+  RecognizerService::Config cfg;
+  cfg.spec.kind = RecognizerKind::kQuantum;
+  cfg.pool = &pool;
+  cfg.flush_threshold = std::uint64_t{1} << 30;  // buffers stay put
+
+  RecognizerService one(cfg);
+  const auto one_ids = open_batch_mix(one, big, small);
+  std::vector<RecognizerService::Verdict> want;
+  for (const auto id : one_ids) want.push_back(one.finish(id));
+
+  RecognizerService batch(cfg);
+  auto ids = open_batch_mix(batch, big, small);
+  ASSERT_EQ(ids, one_ids);
+  ASSERT_TRUE(batch.evicted(ids[2]));
+  // Span order differs from open order; verdicts come back in span order.
+  std::reverse(ids.begin(), ids.end());
+  const auto got = batch.finish(ids);
+  ASSERT_EQ(got.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    expect_same_verdict(got[i], want[ids.size() - 1 - i],
+                        "session " + std::to_string(ids[i]));
+  }
+  EXPECT_EQ(batch.open_sessions(), 0u);
+  EXPECT_EQ(batch.buffered_symbols(), 0u);
+  EXPECT_EQ(batch.stats().sessions_finished, ids.size());
+  EXPECT_EQ(batch.stats().revives, 1u);
+  EXPECT_TRUE(batch.finish(std::span<const RecognizerService::SessionId>{})
+                  .empty());
+
+  // A batch of small sessions (inline path) agrees too.
+  RecognizerService inline_svc(cfg);
+  const auto a = inline_svc.open(500);
+  const auto b = inline_svc.open(501);
+  inline_svc.feed(a, big);
+  inline_svc.feed(b, small);
+  const std::vector<RecognizerService::SessionId> ab{a, b};
+  const auto ab_got = inline_svc.finish(ab);
+  RecognizerService ref(cfg);
+  const auto ra = ref.open(500);
+  const auto rb = ref.open(501);
+  ref.feed(ra, big);
+  ref.feed(rb, small);
+  expect_same_verdict(ab_got[0], ref.finish(ra), "inline a");
+  expect_same_verdict(ab_got[1], ref.finish(rb), "inline b");
+}
+
+TEST(RecognizerServiceBatch, BadOrDuplicateIdThrowsAndTouchesNothing) {
+  qols::util::Rng rng(91);
+  const auto word = word_of(LDisjInstance::make_disjoint(3, rng));
+  RecognizerService::Config cfg;
+  cfg.spec.kind = RecognizerKind::kClassicalBlock;
+  cfg.flush_threshold = std::uint64_t{1} << 30;
+  RecognizerService svc(cfg);
+  const auto a = svc.open(1);
+  const auto b = svc.open(2);
+  svc.feed(a, word);
+  svc.feed(b, word);
+  svc.evict(a);
+  const auto buffered = svc.buffered_symbols();
+  const auto before = svc.stats();
+
+  const std::vector<RecognizerService::SessionId> unknown{a, b, 999};
+  EXPECT_THROW(svc.finish(unknown), std::out_of_range);
+  const std::vector<RecognizerService::SessionId> duplicate{a, b, a};
+  EXPECT_THROW(svc.finish(duplicate), std::invalid_argument);
+
+  EXPECT_EQ(svc.open_sessions(), 2u);
+  EXPECT_TRUE(svc.evicted(a));  // not revived
+  EXPECT_EQ(svc.buffered_symbols(), buffered);
+  EXPECT_EQ(svc.stats().sessions_finished, before.sessions_finished);
+  EXPECT_EQ(svc.stats().revives, before.revives);
+
+  RecognizerSpec spec;
+  auto reference = spec.make(1);
+  reference->feed_chunk(word);
+  const bool expect = reference->finish();
+  const std::vector<RecognizerService::SessionId> both{a, b};
+  const auto verdicts = svc.finish(both);
+  EXPECT_EQ(verdicts[0].accepted, expect);
+  EXPECT_EQ(svc.open_sessions(), 0u);
+}
+
+TEST(RecognizerServiceBatch, BusySecondsCountsAPoolBatchOnce) {
+  // Four large sessions finish concurrently; busy time is the batch's wall
+  // time, not the sum of the sessions' times.
+  qols::util::Rng rng(92);
+  const auto word = word_of(LDisjInstance::make_disjoint(5, rng));
+  qols::util::ThreadPool pool(4);
+  RecognizerService::Config cfg;
+  cfg.spec.kind = RecognizerKind::kClassicalBlock;
+  cfg.pool = &pool;
+  cfg.flush_threshold = std::uint64_t{1} << 30;
+  RecognizerService svc(cfg);
+  std::vector<RecognizerService::SessionId> ids;
+  for (std::uint64_t s = 0; s < 4; ++s) {
+    ids.push_back(svc.open(s));
+    svc.feed(ids.back(), word);
+  }
+  ASSERT_EQ(svc.stats().busy_seconds, 0.0);  // nothing drained yet
+  qols::util::Stopwatch wall;
+  svc.finish(ids);
+  const double elapsed = wall.seconds();
+  EXPECT_GT(svc.stats().busy_seconds, 0.0);
+  EXPECT_LE(svc.stats().busy_seconds, elapsed);
+  EXPECT_EQ(svc.stats().sessions_finished, 4u);
+}
+
+TEST(RecognizerServiceBatch, DurableJournalHoldsFinishesInSpanOrder) {
+  // Crash the manifest after k of the batch's kFinish records, for every k:
+  // exactly the first k ids of the span are retired in the journal.
+  namespace fs = std::filesystem;
+  qols::util::Rng rng(93);
+  const auto word = word_of(LDisjInstance::make_disjoint(3, rng));
+  const std::vector<RecognizerService::SessionId> span{7, 3, 5};
+  for (std::size_t k = 0; k <= span.size(); ++k) {
+    const auto dir = fs::temp_directory_path() /
+                     ("qols-test-batch-journal-" + std::to_string(::getpid()) +
+                      "-" + std::to_string(k));
+    fs::remove_all(dir);
+    {
+      RecognizerService::Config cfg;
+      cfg.spec.kind = RecognizerKind::kClassicalBlock;
+      cfg.spill_dir = dir.string();
+      cfg.durable = true;
+      RecognizerService svc(cfg);
+      for (const auto id : span) {
+        svc.open_at(id, id);
+        svc.feed(id, word);
+      }
+      svc.persist_abort_after(k);
+      if (k < span.size()) {
+        EXPECT_THROW(svc.finish(span), qols::service::InjectedCrash) << k;
+      } else {
+        EXPECT_EQ(svc.finish(span).size(), span.size());
+      }
+    }
+    const auto replay = qols::service::SessionTable::replay(dir.string());
+    std::vector<RecognizerService::SessionId> live;
+    for (const auto& [id, session] : replay.live) live.push_back(id);
+    std::vector<RecognizerService::SessionId> expect(span.begin() + k,
+                                                     span.end());
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(live, expect) << "crash after " << k << " kFinish records";
+    EXPECT_EQ(replay.records, span.size() + k);  // kOpen x3, then kFinish x k
+    fs::remove_all(dir);
   }
 }
 
