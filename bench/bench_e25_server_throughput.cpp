@@ -7,13 +7,8 @@
 // `connections` TCP connections, `sessions` wire sessions all OPEN before
 // the first FINISH (so the concurrency figure is real, not a high-water
 // guess), ragged FEED chunks, bounded FINISH windows for honest latency.
-//
-// Two legs:
-//   - copied feeds: FEED payloads go through RecognizerService::feed
-//     (buffered, batched across the pool by flush_threshold);
-//   - borrowed feeds: RecognizerService::feed_borrowed (zero-copy, inline),
-//     a smaller fleet — the interesting number is the per-symbol path, not
-//     the fleet size.
+// FEED payloads go through RecognizerService::feed (buffered, batched
+// across the pool by flush_threshold).
 //
 // Verification: the load words and recognizer seeds are deterministic
 // (LoadOptions::seed), so every expected verdict is reproducible with one
@@ -24,7 +19,7 @@
 // Claims (NDEBUG only; unoptimized builds report without enforcing):
 //   - every wire verdict matches its direct-run reference exactly;
 //   - zero ERROR frames; the drain abandons zero sessions;
-//   - >= 10^4 sessions held open concurrently on the copied-feed leg;
+//   - >= 10^4 sessions held open concurrently;
 //   - sessions/sec and symbols/sec are nonzero (the tracked series).
 #include <algorithm>
 #include <map>
@@ -79,11 +74,10 @@ struct Leg {
 
 /// One server lifetime: bring it up, run the load, drain it, verify every
 /// collected outcome against the memoized references.
-Leg run_leg(const LoadOptions& load_template, bool borrowed_feeds,
+Leg run_leg(const LoadOptions& load_template,
             const server::LoadWords& words) {
   Server::Config cfg;
   cfg.spec.kind = RecognizerKind::kClassicalBlock;
-  cfg.borrowed_feeds = borrowed_feeds;
   cfg.max_sessions = load_template.sessions + 16;
   Server srv(cfg);
   std::thread loop([&srv] { srv.run(); });
@@ -136,68 +130,46 @@ int run(Reporter& rep, const RunConfig& cfg) {
   }
   const auto words = server::make_load_words(base.k, base.seed);
 
-  const Leg copied = run_leg(base, /*borrowed_feeds=*/false, words);
+  const Leg leg = run_leg(base, words);
+  const LoadReport& r = leg.report;
 
-  LoadOptions small = base;
-  small.sessions = std::max<std::uint64_t>(1000, base.sessions / 5);
-  small.connections = 4;
-  const Leg borrowed = run_leg(small, /*borrowed_feeds=*/true, words);
-
-  util::Table table({"leg", "sessions", "conns", "sessions/s", "symbols/s",
+  util::Table table({"sessions", "conns", "sessions/s", "symbols/s",
                      "p50 ms", "p99 ms", "errors", "mismatches"});
-  const auto add_leg = [&table](const char* name, const LoadOptions& o,
-                                const Leg& leg) {
-    const LoadReport& r = leg.report;
-    table.add_row({name, util::fmt_g(r.sessions),
-                   std::to_string(o.connections),
-                   util::fmt_g(static_cast<std::uint64_t>(
-                       r.sessions_per_second)),
-                   util::fmt_g(static_cast<std::uint64_t>(
-                       r.symbols_per_second)),
-                   util::fmt_f(r.p50_finish_ms, 3),
-                   util::fmt_f(r.p99_finish_ms, 3), util::fmt_g(r.errors),
-                   util::fmt_g(leg.verdict_mismatches)});
-  };
-  add_leg("copied feeds", base, copied);
-  add_leg("borrowed feeds", small, borrowed);
+  table.add_row({util::fmt_g(r.sessions), std::to_string(base.connections),
+                 util::fmt_g(static_cast<std::uint64_t>(
+                     r.sessions_per_second)),
+                 util::fmt_g(static_cast<std::uint64_t>(
+                     r.symbols_per_second)),
+                 util::fmt_f(r.p50_finish_ms, 3),
+                 util::fmt_f(r.p99_finish_ms, 3), util::fmt_g(r.errors),
+                 util::fmt_g(leg.verdict_mismatches)});
   rep.table(table);
 
   const bool verdicts_ok =
-      copied.verdict_mismatches == 0 && borrowed.verdict_mismatches == 0 &&
-      copied.report.sessions == base.sessions &&
-      borrowed.report.sessions == small.sessions;
-  const bool clean = copied.report.errors == 0 &&
-                     borrowed.report.errors == 0 &&
-                     copied.sessions_abandoned == 0 &&
-                     borrowed.sessions_abandoned == 0;
+      leg.verdict_mismatches == 0 && r.sessions == base.sessions;
+  const bool clean = r.errors == 0 && leg.sessions_abandoned == 0;
 #ifdef NDEBUG
   const bool optimized = true;
 #else
   const bool optimized = false;
 #endif
-  const bool concurrency_ok =
-      !optimized || base.sessions < 10'000 ||
-      copied.report.max_concurrent_sessions >= 10'000;
-  const bool throughput_ok = !optimized ||
-                             (copied.report.sessions_per_second > 0.0 &&
-                              copied.report.symbols_per_second > 0.0);
+  const bool concurrency_ok = !optimized || base.sessions < 10'000 ||
+                              r.max_concurrent_sessions >= 10'000;
+  const bool throughput_ok =
+      !optimized ||
+      (r.sessions_per_second > 0.0 && r.symbols_per_second > 0.0);
 
   MetricRecord m;
   m.label = "server-throughput";
   m.k = static_cast<std::int64_t>(base.k);
   m.trials = base.sessions;
-  m.wall_seconds = copied.report.wall_seconds;
-  m.extra.emplace_back("sessions_per_sec", copied.report.sessions_per_second);
-  m.extra.emplace_back("symbols_per_sec", copied.report.symbols_per_second);
-  m.extra.emplace_back("p50_finish_ms", copied.report.p50_finish_ms);
-  m.extra.emplace_back("p99_finish_ms", copied.report.p99_finish_ms);
+  m.wall_seconds = r.wall_seconds;
+  m.extra.emplace_back("sessions_per_sec", r.sessions_per_second);
+  m.extra.emplace_back("symbols_per_sec", r.symbols_per_second);
+  m.extra.emplace_back("p50_finish_ms", r.p50_finish_ms);
+  m.extra.emplace_back("p99_finish_ms", r.p99_finish_ms);
   m.extra.emplace_back("max_concurrent_sessions",
-                       static_cast<double>(
-                           copied.report.max_concurrent_sessions));
-  m.extra.emplace_back("borrowed_sessions_per_sec",
-                       borrowed.report.sessions_per_second);
-  m.extra.emplace_back("borrowed_symbols_per_sec",
-                       borrowed.report.symbols_per_second);
+                       static_cast<double>(r.max_concurrent_sessions));
   m.extra.emplace_back("verdicts_ok", verdicts_ok && clean ? 1.0 : 0.0);
   rep.metric(m);
 
@@ -209,11 +181,10 @@ int run(Reporter& rep, const RunConfig& cfg) {
     rep.note("ERROR frames or abandoned sessions on a clean load — the "
              "drain/session accounting is broken.");
   }
-  rep.note("Verified " + util::fmt_g(copied.report.sessions +
-                                     borrowed.report.sessions) +
+  rep.note("Verified " + util::fmt_g(r.sessions) +
            " wire verdicts bit-for-bit against direct runs; " +
-           util::fmt_g(copied.report.max_concurrent_sessions) +
-           " sessions held open concurrently on the copied-feed leg." +
+           util::fmt_g(r.max_concurrent_sessions) +
+           " sessions held open concurrently." +
            std::string(optimized ? ""
                                  : " (claims not enforced on an unoptimized "
                                    "build)"));

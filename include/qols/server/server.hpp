@@ -67,8 +67,6 @@ class Server {
     std::size_t read_chunk = std::size_t{1} << 16;
     /// RecognizerService batching threshold (symbols per shard).
     std::uint64_t flush_threshold = std::uint64_t{1} << 18;
-    /// Feed via RecognizerService::feed_borrowed (zero-copy, inline).
-    bool borrowed_feeds = false;
     /// Spill sessions idle this long (0 = never evict).
     std::uint64_t idle_evict_ms = 0;
     /// Timer granularity for eviction sweeps and drain checks.
@@ -131,8 +129,6 @@ class Server {
     std::uint64_t idle_evictions = 0;
     std::uint64_t bytes_in = 0;
     std::uint64_t bytes_out = 0;
-    /// Sessions re-adopted from a prior manifest by the durable ctor.
-    std::uint64_t sessions_recovered = 0;
     /// Sessions persisted by the shutdown checkpoint.
     std::uint64_t sessions_persisted = 0;
   };

@@ -51,10 +51,6 @@ struct BrokerShared {
   struct Options {
     /// Sessions across ALL connections (the service-wide cap).
     std::uint64_t max_sessions = std::uint64_t{1} << 17;
-    /// Feed through RecognizerService::feed_borrowed (zero-copy, inline on
-    /// the calling thread) instead of feed() (copied, batched across the
-    /// pool by flush_threshold). Verdicts are bit-identical either way.
-    bool borrowed_feeds = false;
     /// On disconnect, RELEASE sessions (leave them open in the service for
     /// a later RESUME — the durable-server mode) instead of finishing and
     /// discarding them. Orphaned sessions still count against max_sessions

@@ -335,11 +335,10 @@ class RecognizerService {
     std::uint64_t buffered = 0;
   };
 
-  /// The live accumulators behind stats(). Plain relaxed atomics — NOT
+  /// The live accumulators behind stats(), and the only cell for each Stats
+  /// fact (the STATS wire frame exports them). Plain relaxed atomics — NOT
   /// telemetry instruments — because Stats is functional accounting the
-  /// tests rely on: it must keep counting with telemetry runtime-disabled
-  /// or compiled out. The registry-backed instruments below mirror a subset
-  /// for export and add what Stats never had (latency tails, queue depths).
+  /// tests rely on: it must keep counting with telemetry runtime-disabled.
   struct StatCells {
     std::atomic<std::uint64_t> sessions_opened{0};
     std::atomic<std::uint64_t> sessions_finished{0};
@@ -354,21 +353,12 @@ class RecognizerService {
     std::atomic<std::uint64_t> recovered_sessions{0};
   };
 
-  /// Registry-backed instruments, resolved once at construction (references
+  /// Registry-backed instruments for what Stats does not hold (latency
+  /// tails, borrowed-feed calls), resolved once at construction (references
   /// stay valid forever; recording is lock-free and gated by
   /// telemetry::enabled()).
   struct Instruments {
-    telemetry::Gauge& sessions_open;
-    telemetry::Counter& symbols_ingested;
     telemetry::Counter& borrowed_chunks;
-    telemetry::Counter& evictions;
-    telemetry::Counter& revives;
-    telemetry::Counter& spill_bytes_written;
-    telemetry::Counter& spill_bytes_read;
-    telemetry::Counter& migrations;
-    telemetry::Counter& recovered_sessions;
-    telemetry::Counter& manifest_records;
-    telemetry::Counter& compactions;
     telemetry::LatencyHistogram& flush_ns;
     telemetry::LatencyHistogram& finish_ns;
 

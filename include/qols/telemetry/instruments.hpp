@@ -5,27 +5,20 @@
 // workers (relaxed atomics; no instrument op ever takes a lock):
 //
 //   - Counter:          monotonic event/byte tallies;
-//   - Gauge:            last-written level (queue depths, open sessions);
+//   - Gauge:            last-written level (queue depths, rates);
 //   - LatencyHistogram: fixed-bucket log-scale (power-of-two) histogram
 //                       with mergeable snapshots and p50/p90/p99 readout.
 //
-// Two kill switches, one contract:
+// One kill switch, at runtime: set_enabled(false). Every record path first
+// reads one process-global relaxed atomic bool; when it is false the op
+// returns before touching memory or the clock — the disabled cost is one
+// predictable branch (experiment E24 bounds it against a hook-free loop).
 //
-//   - Compile time: the QOLS_TELEMETRY CMake option (default ON) defines
-//     QOLS_TELEMETRY_ENABLED. When OFF, every class below becomes an empty
-//     no-op shell — instrumented call sites compile unchanged and the
-//     optimizer deletes them, so the instrumentation costs literally
-//     nothing in that build.
-//   - Runtime: set_enabled(false). Every record path first reads one
-//     process-global relaxed atomic bool; when it is false the op returns
-//     before touching memory or the clock — the disabled cost is one
-//     predictable branch.
-//
-// The invariant both switches preserve (enforced by
+// The invariant the switch preserves (enforced by
 // tests/test_telemetry_differential.cpp and the fuzz soak): telemetry only
 // ever *observes*. No decision, RNG draw, SpaceReport, or snapshot byte
 // depends on an instrument, so verdicts are bit-identical with telemetry
-// on, runtime-disabled, or compiled out.
+// on or runtime-disabled.
 
 #include <array>
 #include <atomic>
@@ -33,16 +26,7 @@
 #include <chrono>
 #include <cstdint>
 
-#ifndef QOLS_TELEMETRY_ENABLED
-#define QOLS_TELEMETRY_ENABLED 1
-#endif
-
 namespace qols::telemetry {
-
-/// True when the library was built with QOLS_TELEMETRY=ON.
-constexpr bool compiled() noexcept { return QOLS_TELEMETRY_ENABLED != 0; }
-
-#if QOLS_TELEMETRY_ENABLED
 
 namespace detail {
 inline std::atomic<bool>& enabled_flag() noexcept {
@@ -63,17 +47,9 @@ inline void set_enabled(bool on) noexcept {
   detail::enabled_flag().store(on, std::memory_order_relaxed);
 }
 
-#else  // telemetry compiled out
-
-inline bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-
-#endif
-
 /// Monotonic event counter.
 class Counter {
  public:
-#if QOLS_TELEMETRY_ENABLED
   void add(std::uint64_t n = 1) noexcept {
     if (!enabled()) return;
     v_.fetch_add(n, std::memory_order_relaxed);
@@ -85,17 +61,11 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> v_{0};
-#else
-  void add(std::uint64_t = 1) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-#endif
 };
 
-/// Last-written level (may go down: queue depths, resident sessions).
+/// Last-written level (may go down: queue depths, rates).
 class Gauge {
  public:
-#if QOLS_TELEMETRY_ENABLED
   void set(std::int64_t v) noexcept {
     if (!enabled()) return;
     v_.store(v, std::memory_order_relaxed);
@@ -111,12 +81,6 @@ class Gauge {
 
  private:
   std::atomic<std::int64_t> v_{0};
-#else
-  void set(std::int64_t) noexcept {}
-  void add(std::int64_t) noexcept {}
-  std::int64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-#endif
 };
 
 /// Bucket layout shared by the histogram and its snapshots: bucket 0 holds
@@ -191,7 +155,6 @@ struct HistogramSnapshot {
 /// records — quiesce before asserting exact equality).
 class LatencyHistogram {
  public:
-#if QOLS_TELEMETRY_ENABLED
   void record(std::uint64_t value) noexcept {
     if (!enabled()) return;
     buckets_[histogram_bucket(value)].fetch_add(1, std::memory_order_relaxed);
@@ -216,11 +179,6 @@ class LatencyHistogram {
  private:
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets_{};
   std::atomic<std::uint64_t> sum_{0};
-#else
-  void record(std::uint64_t) noexcept {}
-  HistogramSnapshot snapshot() const noexcept { return {}; }
-  void reset() noexcept {}
-#endif
 };
 
 /// RAII nanosecond timer into a histogram. The enabled() decision is taken
@@ -228,7 +186,6 @@ class LatencyHistogram {
 /// clock, so the runtime-disabled cost of a timed region is one branch.
 class ScopedTimer {
  public:
-#if QOLS_TELEMETRY_ENABLED
   explicit ScopedTimer(LatencyHistogram& hist) noexcept
       : hist_(enabled() ? &hist : nullptr) {
     if (hist_ != nullptr) start_ = std::chrono::steady_clock::now();
@@ -241,16 +198,12 @@ class ScopedTimer {
     hist_->record(ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
   }
 
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
  private:
   LatencyHistogram* hist_;
   std::chrono::steady_clock::time_point start_{};
-#else
-  explicit ScopedTimer(LatencyHistogram&) noexcept {}
-#endif
-
- public:
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
 };
 
 }  // namespace qols::telemetry

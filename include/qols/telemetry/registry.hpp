@@ -15,26 +15,22 @@
 //     qols_bench JSON reporter as the document's `extra.telemetry` block
 //     (schema qols-bench/4);
 //   - render_prometheus(): text exposition (counter/gauge/histogram with
-//     cumulative le-buckets) for the future network-facing server — the
-//     /metrics endpoint is a render_prometheus call away.
+//     cumulative le-buckets), served by qols_server's METRICS frame.
 //
-// With telemetry compiled out (QOLS_TELEMETRY=OFF) the registry keeps its
-// API but stores nothing: every lookup hands back one shared no-op
-// instrument, snapshot() reports {"compiled": false}, and the exposition is
-// a single comment line.
+// The registry holds what no layer's functional accounting already holds:
+// latency histograms, queue depths, per-frame counts. A fact a layer keeps
+// for its own callers (RecognizerService::Stats, exported by the STATS
+// frame) is not mirrored here.
 
 #include <iosfwd>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 
 #include "qols/telemetry/instruments.hpp"
 #include "qols/util/json.hpp"
-
-#if QOLS_TELEMETRY_ENABLED
-#include <map>
-#include <memory>
-#include <mutex>
-#endif
 
 namespace qols::telemetry {
 
@@ -55,7 +51,7 @@ class MetricsRegistry {
   /// isolation). Instruments stay registered; references stay valid.
   void reset_all();
 
-  /// JSON view of every instrument: {"compiled", "enabled", "counters",
+  /// JSON view of every instrument: {"enabled", "counters",
   /// "gauges", "histograms"} — histograms carry count/sum/mean/p50/p90/p99
   /// plus their non-empty [bound, count] buckets. Deterministic order
   /// (names sorted).
@@ -66,21 +62,12 @@ class MetricsRegistry {
   /// render cumulative le-buckets plus _sum/_count.
   void render_prometheus(std::ostream& os) const;
 
-#if QOLS_TELEMETRY_ENABLED
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
       histograms_;
-#else
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  LatencyHistogram histogram_;
-#endif
 };
 
 /// Shorthand for MetricsRegistry::global().snapshot() — the export the
@@ -102,8 +89,7 @@ struct SpanSite {
 };
 
 /// RAII profiling hook over a SpanSite: counts the call and times the
-/// scope. Runtime-disabled cost: one branch (no clock read); compiled-out
-/// cost: nothing.
+/// scope. Runtime-disabled cost: one branch (no clock read).
 class TraceSpan {
  public:
   explicit TraceSpan(SpanSite& site) noexcept : timer_(site.ns) {

@@ -51,7 +51,6 @@ void usage() {
       "  --max-sessions N   session limit (default 131072)\n"
       "  --idle-evict-ms N  spill sessions idle N ms (default 0 = never)\n"
       "  --drain-timeout-ms N  drain hard ceiling (default 30000)\n"
-      "  --borrowed-feeds   zero-copy inline feeds (no pooled batching)\n"
       "  --spill-dir D      eviction spill directory\n"
       "  --durable          journal sessions into a manifest under\n"
       "                     --spill-dir (required); recover any prior\n"
@@ -90,8 +89,6 @@ int main(int argc, char** argv) {
       cfg.idle_evict_ms = std::stoull(value());
     } else if (arg == "--drain-timeout-ms") {
       cfg.drain_timeout_ms = std::stoull(value());
-    } else if (arg == "--borrowed-feeds") {
-      cfg.borrowed_feeds = true;
     } else if (arg == "--spill-dir") {
       cfg.spill_dir = value();
     } else if (arg == "--durable") {
@@ -109,10 +106,11 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
     std::signal(SIGINT, on_signal);
     std::signal(SIGPIPE, SIG_IGN);
-    if (server.counters().sessions_recovered > 0) {
+    const std::uint64_t recovered =
+        server.service().stats().recovered_sessions;
+    if (recovered > 0) {
       std::printf("qols_server: recovered %llu sessions from %s\n",
-                  static_cast<unsigned long long>(
-                      server.counters().sessions_recovered),
+                  static_cast<unsigned long long>(recovered),
                   cfg.spill_dir.c_str());
     }
     std::printf("qols_server: listening on %s:%u\n", cfg.bind_address.c_str(),

@@ -71,13 +71,11 @@ Server::Server(const Config& config)
     // A prior incarnation left a manifest in spill_dir: adopt its sessions
     // before the first connection arrives. Typed recovery errors propagate —
     // a damaged directory must refuse to serve, never mis-serve.
-    const auto report = svc_->recover();
-    counters_.sessions_recovered = report.sessions_recovered;
+    svc_->recover();
   }
 
   BrokerShared::Options opts;
   opts.max_sessions = config_.max_sessions;
-  opts.borrowed_feeds = config_.borrowed_feeds;
   opts.preserve_on_disconnect = config_.durable;
   shared_ = std::make_unique<BrokerShared>(*svc_, opts);
   shared_->stats_hook = [this](util::json::Value& doc) {
@@ -92,7 +90,6 @@ Server::Server(const Config& config)
     srv.set("idle_evictions", counters_.idle_evictions);
     srv.set("bytes_in", counters_.bytes_in);
     srv.set("bytes_out", counters_.bytes_out);
-    srv.set("sessions_recovered", counters_.sessions_recovered);
     srv.set("sessions_persisted", counters_.sessions_persisted);
     srv.set("draining", draining_);
   };

@@ -323,11 +323,7 @@ bool SessionBroker::handle(const wire::Frame& frame,
       }
       {
         telemetry::ScopedTimer timer(shared_.feed_frame_ns);
-        if (shared_.opts.borrowed_feeds) {
-          shared_.svc.feed_borrowed(feed.session, feed.symbols);
-        } else {
-          shared_.svc.feed(feed.session, feed.symbols);
-        }
+        shared_.svc.feed(feed.session, feed.symbols);
       }
       it->second = now_ms;
       return true;  // FEED is fire-and-forget: no response frame

@@ -52,27 +52,8 @@ void write_spill_file(const std::string& path,
 }  // namespace
 
 RecognizerService::Instruments::Instruments()
-    : sessions_open(
-          telemetry::MetricsRegistry::global().gauge("service.sessions_open")),
-      symbols_ingested(telemetry::MetricsRegistry::global().counter(
-          "service.symbols_ingested")),
-      borrowed_chunks(telemetry::MetricsRegistry::global().counter(
+    : borrowed_chunks(telemetry::MetricsRegistry::global().counter(
           "service.borrowed_chunks")),
-      evictions(
-          telemetry::MetricsRegistry::global().counter("service.evictions")),
-      revives(telemetry::MetricsRegistry::global().counter("service.revives")),
-      spill_bytes_written(telemetry::MetricsRegistry::global().counter(
-          "service.spill_bytes_written")),
-      spill_bytes_read(telemetry::MetricsRegistry::global().counter(
-          "service.spill_bytes_read")),
-      migrations(
-          telemetry::MetricsRegistry::global().counter("service.migrations")),
-      recovered_sessions(telemetry::MetricsRegistry::global().counter(
-          "service.recovered_sessions")),
-      manifest_records(telemetry::MetricsRegistry::global().counter(
-          "service.manifest_records")),
-      compactions(
-          telemetry::MetricsRegistry::global().counter("service.compactions")),
       flush_ns(
           telemetry::MetricsRegistry::global().histogram("service.flush_ns")),
       finish_ns(
@@ -219,11 +200,9 @@ RecognizerService::SessionId RecognizerService::open_at(SessionId id,
   if (SessionTable* t = journal()) {
     t->crash_point();
     t->record_open(id, seed, session.shard);
-    telem_.manifest_records.add();
   }
   sessions_.emplace(id, std::move(session));
   cells_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-  telem_.sessions_open.set(static_cast<std::int64_t>(sessions_.size()));
   return id;
 }
 
@@ -243,7 +222,6 @@ void RecognizerService::feed(SessionId id,
     over_threshold = shard.buffered >= config_.flush_threshold;
   }
   cells_.symbols_ingested.fetch_add(chunk.size(), std::memory_order_relaxed);
-  telem_.symbols_ingested.add(chunk.size());
   // The shard lock is released first: flush()'s worker re-takes it.
   if (over_threshold) flush();
 }
@@ -264,7 +242,6 @@ void RecognizerService::feed_borrowed(SessionId id,
   }
   cells_.symbols_ingested.fetch_add(chunk.size(), std::memory_order_relaxed);
   cells_.busy_ns.fetch_add(to_ns(watch.seconds()), std::memory_order_relaxed);
-  telem_.symbols_ingested.add(chunk.size());
   telem_.borrowed_chunks.add();
 }
 
@@ -392,7 +369,6 @@ std::vector<RecognizerService::Verdict> RecognizerService::finish(
     if (t != nullptr) {
       t->crash_point();
       t->record_finish(ids[i]);
-      telem_.manifest_records.add();
     }
     if (errors[i]) {
       if (!first_error) first_error = errors[i];
@@ -401,7 +377,6 @@ std::vector<RecognizerService::Verdict> RecognizerService::finish(
     cells_.sessions_finished.fetch_add(1, std::memory_order_relaxed);
     telem_.finish_ns.record(session_ns[i]);
   }
-  telem_.sessions_open.set(static_cast<std::int64_t>(sessions_.size()));
   if (first_error) std::rethrow_exception(first_error);
   return verdicts;
 }
@@ -464,7 +439,6 @@ void RecognizerService::evict(SessionId id) {
   write_spill_file(path, bytes, /*sync=*/config_.durable, id);
   if (t != nullptr) {
     t->record_evict(id, bytes.size());
-    telem_.manifest_records.add();
   }
   session.recognizer.reset();  // the point of evicting: free the memory
   session.evicted = true;
@@ -472,8 +446,6 @@ void RecognizerService::evict(SessionId id) {
   cells_.evictions.fetch_add(1, std::memory_order_relaxed);
   cells_.spill_bytes_written.fetch_add(bytes.size(),
                                        std::memory_order_relaxed);
-  telem_.evictions.add();
-  telem_.spill_bytes_written.add(bytes.size());
 }
 
 void RecognizerService::revive_session(SessionId id, Session& session) {
@@ -503,7 +475,6 @@ void RecognizerService::revive_session(SessionId id, Session& session) {
   // is gone.
   if (t != nullptr) {
     t->record_revive(id);
-    telem_.manifest_records.add();
   }
   session.evicted = false;
   session.spill_bytes = 0;
@@ -511,8 +482,6 @@ void RecognizerService::revive_session(SessionId id, Session& session) {
   std::filesystem::remove(path, ec);
   cells_.revives.fetch_add(1, std::memory_order_relaxed);
   cells_.spill_bytes_read.fetch_add(bytes.size(), std::memory_order_relaxed);
-  telem_.revives.add();
-  telem_.spill_bytes_read.add(bytes.size());
 }
 
 void RecognizerService::revive(SessionId id) {
@@ -543,12 +512,10 @@ void RecognizerService::migrate(SessionId id, std::size_t target_shard) {
   if (SessionTable* t = journal()) {
     t->crash_point();
     t->record_migrate(id, target_shard);
-    telem_.manifest_records.add();
   }
   session.shard = target_shard;
   if (was_resident) revive_session(id, session);
   cells_.migrations.fetch_add(1, std::memory_order_relaxed);
-  telem_.migrations.add();
 }
 
 std::size_t RecognizerService::rebalance(std::size_t max_moves) {
@@ -617,7 +584,6 @@ std::size_t RecognizerService::persist() {
   for (const SessionId id : resident) evict(id);
   t->crash_point();
   t->compact(live_view());
-  telem_.compactions.add();
   return sessions_.size();
 }
 
@@ -686,11 +652,8 @@ RecognizerService::RecoveryReport RecognizerService::recover() {
   // Compact to the adopted view: lost sessions drop out of the journal, and
   // replaying the recovered journal reproduces exactly this table.
   table_->compact(live_view());
-  telem_.compactions.add();
   cells_.recovered_sessions.fetch_add(report.sessions_recovered,
                                       std::memory_order_relaxed);
-  telem_.recovered_sessions.add(report.sessions_recovered);
-  telem_.sessions_open.set(static_cast<std::int64_t>(sessions_.size()));
   return report;
 }
 

@@ -17,8 +17,6 @@ MetricsRegistry& MetricsRegistry::global() {
   return *instance;
 }
 
-#if QOLS_TELEMETRY_ENABLED
-
 namespace {
 
 /// Prometheus metric names allow [a-zA-Z0-9_:]; the registry's dotted
@@ -92,7 +90,6 @@ void MetricsRegistry::reset_all() {
 Value MetricsRegistry::snapshot() const {
   std::lock_guard lock(mu_);
   auto doc = Value::object();
-  doc.set("compiled", true);
   doc.set("enabled", enabled());
 
   auto counters = Value::object();
@@ -158,31 +155,6 @@ void MetricsRegistry::render_prometheus(std::ostream& os) const {
        << p << "_count " << s.count << "\n";
   }
 }
-
-#else  // telemetry compiled out: one shared no-op instrument per kind
-
-Counter& MetricsRegistry::counter(std::string_view) { return counter_; }
-Gauge& MetricsRegistry::gauge(std::string_view) { return gauge_; }
-LatencyHistogram& MetricsRegistry::histogram(std::string_view) {
-  return histogram_;
-}
-void MetricsRegistry::reset_all() {}
-
-Value MetricsRegistry::snapshot() const {
-  auto doc = Value::object();
-  doc.set("compiled", false);
-  doc.set("enabled", false);
-  doc.set("counters", Value::object());
-  doc.set("gauges", Value::object());
-  doc.set("histograms", Value::object());
-  return doc;
-}
-
-void MetricsRegistry::render_prometheus(std::ostream& os) const {
-  os << "# qols telemetry compiled out (QOLS_TELEMETRY=OFF)\n";
-}
-
-#endif
 
 Value snapshot() { return MetricsRegistry::global().snapshot(); }
 

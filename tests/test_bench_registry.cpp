@@ -103,7 +103,7 @@ TEST(Runner, E18ProducesConsoleTablesAndJsonMetrics) {
   const std::string doc = json.document().dump(2);
   EXPECT_NE(doc.find("\"schema\": \"qols-bench/4\""), std::string::npos);
   EXPECT_NE(doc.find("\"telemetry\""), std::string::npos);
-  EXPECT_NE(doc.find("\"compiled\""), std::string::npos);
+  EXPECT_NE(doc.find("\"enabled\""), std::string::npos);
   EXPECT_NE(doc.find("\"id\": \"e18\""), std::string::npos);
   EXPECT_NE(doc.find("\"status\": 0"), std::string::npos);
   EXPECT_NE(doc.find("\"wall_seconds\""), std::string::npos);

@@ -1164,6 +1164,40 @@ long long stats_value(const std::string& text, const std::string& key) {
   return std::stoll(text.substr(at + key.size() + 3));
 }
 
+TEST(ServerLoopback, MetricsExportsTheInstrumentsTheBenchmarkParses) {
+  qols::util::Rng rng(29);
+  const auto word = word_of(LDisjInstance::make_disjoint(2, rng));
+  Server::Config cfg;
+  cfg.spec.kind = RecognizerKind::kClassicalBlock;
+  ServerRunner runner(cfg);
+  TestClient client(runner.port());
+  client.hello();
+  client.open(1, 31);
+  std::vector<std::uint8_t> bytes;
+  wire::append_feed(bytes, 1, std::span<const Symbol>(word));
+  client.send_all(bytes);
+  expect_verdict_matches(client.finish(1), direct_run(cfg.spec, 31, word),
+                         "before METRICS");
+
+  bytes.clear();
+  wire::append_frame(bytes, wire::FrameType::kMetrics, {});
+  client.send_all(bytes);
+  const auto f = client.next_frame();
+  ASSERT_EQ(f.type, wire::FrameType::kMetricsText);
+  const std::string text = wire::read_text(f.payload);
+  // perfbench/src/main.cpp reads exactly these four series.
+  EXPECT_NE(text.find("# TYPE qols_service_flush_ns histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE qols_server_feed_frame_ns histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE qols_server_finish_frame_ns histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE qols_server_frames_in counter"),
+            std::string::npos);
+  // Stats facts travel in STATS only; the registry does not mirror them.
+  EXPECT_EQ(text.find("qols_service_symbols_ingested"), std::string::npos);
+}
+
 TEST(ServerLoopback, FdExhaustionShedsQueuedPeersWithoutSpinning) {
   qols::util::Rng rng(43);
   const auto word = word_of(LDisjInstance::make_disjoint(2, rng));
@@ -1300,10 +1334,18 @@ TEST(ServerLoopback, DurableRestartResumesWithExactVerdicts) {
     // manifest, RESUME re-adopts each session, and the finished verdicts
     // are bit-identical to uninterrupted single-process runs.
     Server server(cfg);
-    EXPECT_EQ(server.counters().sessions_recovered, 2u);
+    EXPECT_EQ(server.service().stats().recovered_sessions, 2u);
     std::thread loop([&] { server.run(); });
     TestClient client(server.port());
     client.hello();
+    std::vector<std::uint8_t> stats_req;
+    wire::append_frame(stats_req, wire::FrameType::kStats, {});
+    client.send_all(stats_req);
+    const auto stats = client.next_frame();
+    ASSERT_EQ(stats.type, wire::FrameType::kStatsText);
+    EXPECT_EQ(stats_value(wire::read_text(stats.payload),
+                          "recovered_sessions"),
+              2);
     for (std::uint64_t s = 0; s < 2; ++s) {
       std::vector<std::uint8_t> bytes;
       wire::append_resume(bytes, {s + 1});

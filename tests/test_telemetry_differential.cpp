@@ -1,13 +1,11 @@
 // Telemetry determinism suite: the hard invariant of the telemetry
 // subsystem is that it NEVER touches verdict state. Decisions, accept
 // counts, SpaceReports and replay behaviour must be bit-identical whether
-// the instruments are enabled, runtime-disabled, or compiled out entirely.
+// the instruments are enabled or runtime-disabled.
 //
-// This file proves the first two modes against each other inside one
-// process (enabled vs runtime-disabled, same seeds). The compiled-out mode
-// is covered by running this same binary in the QOLS_TELEMETRY=OFF CI leg:
-// every expectation below is mode-agnostic, so a differing verdict in the
-// OFF build would fail the exact same assertions.
+// This file proves the two modes against each other inside one process
+// (enabled vs runtime-disabled, same seeds). There is one telemetry build;
+// the runtime switch is the only way to turn recording off.
 #include <gtest/gtest.h>
 
 #include <memory>
