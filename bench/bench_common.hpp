@@ -1,18 +1,23 @@
 #pragma once
-// Shared parsing helpers for the experiment stack: strict integers for the
+// Shared helpers for the experiment stack: strict integers for the
 // qols_bench CLI flags and the QOLS_MAX_K / QOLS_TRIALS environment
-// overrides (consumed by RunConfig::from_env).
+// overrides (consumed by RunConfig::from_env), and the median/IQR summary
+// the round-based timing experiments (E22, E24) check their claims on.
 //
 // Parsing is strict (std::from_chars over the whole string): garbage like
 // QOLS_TRIALS=abc is rejected with a stderr warning instead of silently
 // becoming 0 the way std::atoi used to map it; out-of-range numerics are
 // clamped, also with a warning.
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 namespace qols::bench {
 
@@ -47,6 +52,24 @@ inline std::optional<long long> env_integer(const char* name, long long lo,
     return clamped;
   }
   return parsed;
+}
+
+/// Median and interquartile range of a sample (linear interpolation
+/// between order statistics).
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+inline Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.5), at(0.75) - at(0.25)};
 }
 
 }  // namespace qols::bench

@@ -49,10 +49,10 @@
 // the exact registers this experiment timed).
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "experiments.hpp"
 #include "qols/core/classical_recognizers.hpp"
 #include "qols/lang/ldisj_instance.hpp"
@@ -106,24 +106,6 @@ Pass drive_hooked(const std::string& word, machine::OnlineRecognizer& rec) {
 
 double rate_of(std::uint64_t symbols, double seconds) {
   return seconds > 0.0 ? static_cast<double>(symbols) / seconds : 0.0;
-}
-
-/// Median and interquartile range of a sample (linear interpolation
-/// between order statistics).
-struct Spread {
-  double median = 0.0;
-  double iqr = 0.0;
-};
-
-Spread spread_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const auto at = [&v](double q) {
-    const double pos = q * static_cast<double>(v.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
-    const std::size_t hi = std::min(lo + 1, v.size() - 1);
-    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
-  };
-  return {at(0.5), at(0.75) - at(0.25)};
 }
 
 /// One timed service pass: `sessions` block-machine sessions fed the same

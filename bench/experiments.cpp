@@ -29,7 +29,6 @@ void register_all_experiments(Registry& r) {
   register_e22(r);
   register_e23(r);
   register_e24(r);
-  register_e25(r);
   register_e26(r);
 }
 

@@ -32,7 +32,6 @@ void register_e21(Registry& r);
 void register_e22(Registry& r);
 void register_e23(Registry& r);
 void register_e24(Registry& r);
-void register_e25(Registry& r);
 void register_e26(Registry& r);
 
 /// Registers every experiment, in id order.

@@ -252,12 +252,6 @@ class RecognizerService {
   /// std::invalid_argument when target_shard >= shard_count().
   void migrate(SessionId id, std::size_t target_shard);
 
-  /// Greedy rebalancing policy hook: while the fullest shard holds at least
-  /// two sessions more than the emptiest, migrate one across (preferring
-  /// evicted sessions — moving those is a pure bookkeeping write). Stops
-  /// after `max_moves`. Returns the number of migrations performed.
-  std::size_t rebalance(std::size_t max_moves = SIZE_MAX);
-
   /// The shard a session is currently pinned to. Throws std::out_of_range
   /// on an unknown/finished id.
   std::size_t shard_of(SessionId id);

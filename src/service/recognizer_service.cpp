@@ -518,38 +518,6 @@ void RecognizerService::migrate(SessionId id, std::size_t target_shard) {
   cells_.migrations.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::size_t RecognizerService::rebalance(std::size_t max_moves) {
-  std::size_t moves = 0;
-  while (moves < max_moves) {
-    std::vector<std::size_t> load(shards_.size(), 0);
-    for (const auto& [id, session] : sessions_) ++load[session.shard];
-    const auto max_it = std::max_element(load.begin(), load.end());
-    const auto min_it = std::min_element(load.begin(), load.end());
-    // Moving one session from max to min only helps while they differ by at
-    // least two — at one apart the move just swaps which shard is fuller.
-    if (*max_it < *min_it + 2) break;
-    const auto from = static_cast<std::size_t>(max_it - load.begin());
-    const auto to = static_cast<std::size_t>(min_it - load.begin());
-    // Deterministic pick (sessions_ iteration order is not): the smallest
-    // id on the hot shard, preferring evicted sessions — migrating those is
-    // a pure bookkeeping write, no spill round-trip.
-    SessionId pick = 0;
-    int pick_rank = -1;  // 1 = evicted (cheap), 0 = resident
-    for (const auto& [sid, session] : sessions_) {
-      if (session.shard != from) continue;
-      const int rank = session.evicted ? 1 : 0;
-      if (rank > pick_rank || (rank == pick_rank && sid < pick)) {
-        pick = sid;
-        pick_rank = rank;
-      }
-    }
-    if (pick_rank < 0) break;  // unreachable: *max_it >= 2 implies a session
-    migrate(pick, to);
-    ++moves;
-  }
-  return moves;
-}
-
 std::size_t RecognizerService::shard_of(SessionId id) {
   return session_or_throw(id).shard;
 }

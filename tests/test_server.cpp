@@ -1,8 +1,8 @@
 // Unit tests: the network subsystem — wire codec round trips, hostile-frame
 // rejection in the FrameDecoder and SessionBroker, and loopback end-to-end
 // runs against a live epoll Server: framing-invariant verdicts, write-side
-// backpressure, idle eviction + transparent revive, graceful drain, and
-// the accept loop under fd exhaustion.
+// backpressure, idle eviction + transparent revive, graceful drain (also
+// with 10^4 sessions in flight), and the accept loop under fd exhaustion.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -20,6 +20,7 @@
 #include <ctime>
 #include <functional>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -87,8 +88,7 @@ void expect_verdict_matches(const wire::WireVerdict& v,
 }
 
 // ---------------------------------------------------------------------------
-// A minimal blocking test client (the load generator is nonblocking and
-// multi-connection; tests want something dumber and deterministic).
+// A minimal blocking test client: deterministic, one connection each.
 
 class TestClient {
  public:
@@ -1370,6 +1370,109 @@ TEST(ServerLoopback, DurableRestartResumesWithExactVerdicts) {
     EXPECT_EQ(server.counters().sessions_persisted, 0u);
   }
   fs::remove_all(dir);
+}
+
+TEST(ServerLoopback, TenThousandConcurrentSessionsDrainWithExactVerdicts) {
+  // 10^4 sessions over four connections, every one OPEN before the first
+  // FINISH, then a drain that must finish them all: each wire verdict equals
+  // a direct RecognizerService run and nothing is abandoned.
+  constexpr std::uint64_t kSessions = 10'000;
+  constexpr std::uint64_t kConnections = 4;
+  constexpr std::uint64_t kPerConnection = kSessions / kConnections;
+  // Sessions per round trip: small enough that the requests and replies
+  // in flight fit in the loopback socket buffers, so blocking sends cannot
+  // deadlock against unread replies.
+  constexpr std::uint64_t kBatch = 500;
+  constexpr std::uint64_t kSeeds = 16;
+
+  // Session s (wire id s + 1) streams words[s % 2] under seed_of(s), on
+  // connection s / kPerConnection.
+  qols::util::Rng rng(25);
+  const std::vector<Symbol> words[2] = {
+      word_of(LDisjInstance::make_disjoint(2, rng)),
+      word_of(LDisjInstance::make_with_intersections(2, 1, rng)),
+  };
+  const auto seed_of = [](std::uint64_t s) { return 1000 + s % kSeeds; };
+
+  Server::Config cfg;
+  cfg.spec.kind = RecognizerKind::kClassicalBlock;
+  // One direct run per (word, seed) pair: session s has the word and seed
+  // of reference[s % (2 * kSeeds)].
+  std::vector<RecognizerService::Verdict> reference;
+  {
+    RecognizerService::Config svc_cfg;
+    svc_cfg.spec = cfg.spec;
+    RecognizerService direct(svc_cfg);
+    for (std::uint64_t s = 0; s < 2 * kSeeds; ++s) {
+      const auto id = direct.open(seed_of(s));
+      direct.feed(id, words[s % 2]);
+      reference.push_back(direct.finish(id));
+    }
+  }
+
+  ServerRunner runner(cfg);
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (std::uint64_t c = 0; c < kConnections; ++c) {
+    clients.push_back(std::make_unique<TestClient>(runner.port()));
+    clients.back()->hello();
+  }
+  // For every batch of kBatch sessions: sends the frames `append` writes
+  // for each on the session's connection, then `check`s one response per
+  // session (a frame's payload lives only until the next frame is read).
+  const auto round_trips = [&](auto&& append, auto&& check) {
+    for (std::uint64_t first = 0; first < kSessions; first += kBatch) {
+      TestClient& client = *clients[first / kPerConnection];
+      std::vector<std::uint8_t> bytes;
+      for (std::uint64_t s = first; s < first + kBatch; ++s) append(bytes, s);
+      client.send_all(bytes);
+      for (std::uint64_t s = first; s < first + kBatch; ++s) {
+        check(client.next_frame(), s);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  };
+
+  round_trips(
+      [&](std::vector<std::uint8_t>& out, std::uint64_t s) {
+        wire::append_open(out, {s + 1, seed_of(s)});
+      },
+      [](const wire::Frame& f, std::uint64_t s) {
+        ASSERT_EQ(f.type, wire::FrameType::kOpenOk);
+        ASSERT_EQ(wire::read_open_ok(f.payload).session, s + 1);
+      });
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  std::vector<std::uint8_t> stats_req;
+  wire::append_frame(stats_req, wire::FrameType::kStats, {});
+  clients[0]->send_all(stats_req);
+  const auto stats = clients[0]->next_frame();
+  ASSERT_EQ(stats.type, wire::FrameType::kStatsText);
+  ASSERT_EQ(stats_value(wire::read_text(stats.payload), "sessions_open"),
+            static_cast<long long>(kSessions));
+
+  // Drain with every session in flight: FEED and FINISH are still served.
+  runner.server().shutdown();
+  std::uint64_t mismatches = 0;
+  round_trips(
+      [&](std::vector<std::uint8_t>& out, std::uint64_t s) {
+        wire::append_feed(out, s + 1, std::span<const Symbol>(words[s % 2]));
+        wire::append_finish(out, {s + 1});
+      },
+      [&](const wire::Frame& f, std::uint64_t s) {
+        ASSERT_EQ(f.type, wire::FrameType::kVerdict);
+        const auto v = wire::read_verdict(f.payload);
+        ASSERT_EQ(v.session, s + 1);
+        const auto& ref = reference[s % (2 * kSeeds)];
+        if (v.accepted != ref.accepted ||
+            v.fully_simulated != ref.fully_simulated ||
+            v.classical_bits != ref.space.classical_bits ||
+            v.qubits != ref.space.qubits) {
+          ++mismatches;
+        }
+      });
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_EQ(mismatches, 0u);
+  runner.stop();
+  EXPECT_EQ(runner.server().counters().sessions_abandoned, 0u);
 }
 
 }  // namespace

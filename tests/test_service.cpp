@@ -638,24 +638,6 @@ TEST(RecognizerService, MigrationVerdictsExactAcrossPoolSizes) {
   EXPECT_EQ(serve(4, true), reference);
 }
 
-TEST(RecognizerService, RebalanceEvensShardLoadDeterministically) {
-  qols::util::ThreadPool pool(2);
-  RecognizerService::Config cfg;
-  cfg.spec.kind = RecognizerKind::kClassicalBlock;
-  cfg.pool = &pool;
-  RecognizerService svc(cfg);
-  // Pile four sessions onto shard 0 (even ids) against one on shard 1.
-  for (const std::uint64_t id : {2, 4, 6, 8}) svc.open_at(id, id);
-  svc.open_at(1, 1);
-  EXPECT_EQ(svc.rebalance(0), 0u);  // max_moves is respected
-  const auto moves = svc.rebalance();
-  EXPECT_EQ(moves, 1u);  // 4 vs 1 -> 3 vs 2; another move would just swap
-  // Deterministic pick: the smallest id on the hot shard.
-  EXPECT_EQ(svc.shard_of(2), 1u);
-  EXPECT_EQ(svc.stats().migrations, 1u);
-  EXPECT_EQ(svc.rebalance(), 0u);  // already balanced
-}
-
 TEST(RecognizerService, RecoveredSessionsCounterExactAcrossPoolSizes) {
   namespace fs = std::filesystem;
   qols::util::Rng rng(83);
