@@ -1,6 +1,7 @@
 // E22 — state-vector kernel throughput: the scalar-double / simd-double /
 // simd-float matrix over the hot A3 kernels (H-range, the Grover diffusion
-// composite, and the per-input-bit index gates) at the dense wall.
+// composite, and the index gates per input bit and per run of bits) at the
+// dense wall.
 //
 // The dense backend stores amplitudes as split re[]/im[] arrays and runs
 // the hot kernels as blocked contiguous runs with runtime ISA dispatch
@@ -21,7 +22,11 @@
 // a reflect-zero streaming pass). Each row also reports the rate of A3's
 // per-1-bit index gates (V_x, W_y, R_y as x/z/cx-on-index over the full
 // index register) on its register: each touches O(1) amplitudes, so this is
-// the per-bit cost of the streaming simulation, not a bandwidth figure. The
+// the per-bit cost of the streaming simulation, not a bandwidth figure. It
+// also reports the rate of the same three oracles applied per run of bits
+// (apply_{x,z,cx}_on_index_run over one whole block of a random 0/1 mask at
+// A3's density, ~1/4 ones), in data symbols per second: the path A3's
+// chunked ingestion takes, one masked sequential pass per run. The
 // claim: simd-float sustains >= 2x the scalar-double rate on BOTH the
 // H-range and the diffusion kernels at k = 10 (22 qubits, 4M amplitudes) —
 // enforced only under NDEBUG on AVX2 hardware (elsewhere the rows are still
@@ -65,7 +70,7 @@
 namespace qols::bench {
 namespace {
 
-enum Kernel { kHRange, kDiffusion, kIndexGates, kKernels };
+enum Kernel { kHRange, kDiffusion, kIndexGates, kIndexRuns, kKernels };
 
 /// One configuration under test: a register of its own, and a timed pass
 /// of any kernel on it in the row's SIMD mode.
@@ -80,14 +85,15 @@ struct Row {
 
 template <typename Scalar>
 Row make_row(const std::string& label, quantum::SimdMode mode, unsigned k,
-             const std::vector<std::uint64_t>& indices) {
+             const std::vector<std::uint64_t>& indices,
+             const std::vector<std::uint8_t>& ones) {
   const unsigned range = 2 * k;
   auto sv = std::make_shared<quantum::StateVectorT<Scalar>>(range + 2);
   quantum::set_simd_mode(mode);
   sv->apply_h_range(0, range);  // warm-up: touch every page once
   Row row;
   row.label = label;
-  row.time_pass = [sv, mode, range, &indices](Kernel kernel) {
+  row.time_pass = [sv, mode, range, &indices, &ones](Kernel kernel) {
     quantum::set_simd_mode(mode);
     util::Stopwatch watch;
     switch (kernel) {
@@ -99,7 +105,7 @@ Row make_row(const std::string& label, quantum::SimdMode mode, unsigned k,
         sv->apply_reflect_zero(0, range);
         sv->apply_h_range(0, range);
         break;
-      default:
+      case kIndexGates:
         // One V_x, W_y and R_y per drawn index, as A3 applies them per
         // 1-bit: h = qubit 2k, l = qubit 2k+1.
         for (const std::uint64_t i : indices) {
@@ -107,6 +113,12 @@ Row make_row(const std::string& label, quantum::SimdMode mode, unsigned k,
           sv->apply_z_on_index(0, range, i, range);
           sv->apply_cx_on_index(0, range, i, range, range + 1);
         }
+        break;
+      default:
+        // The same three oracles, each as one run over a whole block.
+        sv->apply_x_on_index_run(range, 0, ones, range);
+        sv->apply_z_on_index_run(range, 0, ones, range);
+        sv->apply_cx_on_index_run(range, 0, ones, range, range + 1);
         break;
     }
     return std::max(watch.seconds(), 1e-9);
@@ -132,17 +144,20 @@ int run(Reporter& rep, const RunConfig& cfg) {
   util::Rng rng(22);
   std::vector<std::uint64_t> indices(std::size_t{1} << 14);
   for (auto& i : indices) i = rng.below(std::uint64_t{1} << range);
+  std::vector<std::uint8_t> ones(std::size_t{1} << range);
+  for (auto& b : ones) b = rng.below(4) == 0 ? 1 : 0;
   const std::array<double, kKernels> work = {
       hrange_pairs, 2.0 * hrange_pairs + dim,
-      3.0 * static_cast<double>(indices.size())};
+      3.0 * static_cast<double>(indices.size()),
+      3.0 * static_cast<double>(ones.size())};
 
   const quantum::SimdMode saved = quantum::requested_simd_mode();
   enum { kScalarDouble, kSimdDouble, kSimdFloat, kRows };
   std::array<Row, kRows> row_set = {
       make_row<double>("scalar-double", quantum::SimdMode::kScalar, k,
-                       indices),
-      make_row<double>("simd-double", simd_mode, k, indices),
-      make_row<float>("simd-float", simd_mode, k, indices)};
+                       indices, ones),
+      make_row<double>("simd-double", simd_mode, k, indices, ones),
+      make_row<float>("simd-float", simd_mode, k, indices, ones)};
   // Per-round simd-float / scalar-double ratios for the claimed kernels,
   // kHRange and kDiffusion.
   std::array<std::vector<double>, 2> speedups;
@@ -160,7 +175,7 @@ int run(Reporter& rep, const RunConfig& cfg) {
       for (int at = 0; at < kRows; ++at) {
         row_set[at].rates[kernel].push_back(work[kernel] / best[at]);
       }
-      if (kernel != kIndexGates) {
+      if (kernel == kHRange || kernel == kDiffusion) {
         speedups[kernel].push_back(best[kScalarDouble] / best[kSimdFloat]);
       }
     }
@@ -175,7 +190,8 @@ int run(Reporter& rep, const RunConfig& cfg) {
       1024.0 * gate_passes * static_cast<double>(2.0 * k) * 0x1p-24;
 
   util::Table table({"row", "precision", "isa", "h_range pairs/s",
-                     "diffusion pairs/s", "index gates/s", "|norm-1|", "ok?"});
+                     "diffusion pairs/s", "index gates/s",
+                     "index-run symbols/s", "|norm-1|", "ok?"});
   bool norms_ok = true;
   const Spread h_speedup = spread_of(speedups[kHRange]);
   const Spread d_speedup = spread_of(speedups[kDiffusion]);
@@ -194,6 +210,7 @@ int run(Reporter& rep, const RunConfig& cfg) {
                    util::fmt_g(static_cast<std::uint64_t>(rate[kHRange])),
                    util::fmt_g(static_cast<std::uint64_t>(rate[kDiffusion])),
                    util::fmt_g(static_cast<std::uint64_t>(rate[kIndexGates])),
+                   util::fmt_g(static_cast<std::uint64_t>(rate[kIndexRuns])),
                    util::fmt_f(drift, 9), ok ? "yes" : "NO"});
 
     MetricRecord m;
@@ -203,6 +220,7 @@ int run(Reporter& rep, const RunConfig& cfg) {
     m.extra.emplace_back("hrange_pairs_per_sec", rate[kHRange]);
     m.extra.emplace_back("diffusion_pairs_per_sec", rate[kDiffusion]);
     m.extra.emplace_back("index_gates_per_sec", rate[kIndexGates]);
+    m.extra.emplace_back("index_run_symbols_per_sec", rate[kIndexRuns]);
     m.extra.emplace_back("norm_drift", drift);
     if (is_float) {
       m.extra.emplace_back("hrange_speedup_vs_scalar_double",

@@ -13,7 +13,8 @@
 // for the float instantiation.
 //
 // Cost model: one-qubit gates and the diffusion are O(2^n); the A3 fast
-// paths are O(2^{n - index width}); memory is 16 bytes * 2^n for double and
+// paths are O(2^{n - index width}) per bit, and a run of bits is one masked
+// sequential pass of 2^{n - index width} contiguous ranges; memory is 16 bytes * 2^n for double and
 // 8 bytes * 2^n for float, which caps the feasible A3 depth at k ~ 10-14
 // (2k+2 <= 30 qubits).
 
@@ -86,6 +87,22 @@ class DenseBackendT final : public QuantumBackend {
   void apply_cx_on_index(unsigned first, unsigned count, std::uint64_t index,
                          unsigned h, unsigned target) override {
     state_.apply_cx_on_index(first, count, index, h, target);
+  }
+
+  void apply_on_index_run(IndexOp op, unsigned count, std::uint64_t offset,
+                          std::span<const std::uint8_t> ones, unsigned h,
+                          unsigned target) override {
+    switch (op) {
+      case IndexOp::kX:
+        state_.apply_x_on_index_run(count, offset, ones, h);
+        break;
+      case IndexOp::kZ:
+        state_.apply_z_on_index_run(count, offset, ones, h);
+        break;
+      case IndexOp::kCX:
+        state_.apply_cx_on_index_run(count, offset, ones, h, target);
+        break;
+    }
   }
 
   void serialize_state(util::serde::ByteWriter& w) const override {

@@ -13,7 +13,8 @@
 //     O(2^{2k}) and lifting the feasible k well past the dense wall.
 //
 // The operation set is exactly what A3 needs: the index-register preparation
-// H^{x2k}, the per-symbol V_x/W_y/R_y fast paths, the U_k S_k U_k Grover
+// H^{x2k}, the per-symbol V_x/W_y/R_y fast paths and their per-run form
+// (one call per run of streamed data bits), the U_k S_k U_k Grover
 // diffusion (a single composite call so structured backends can apply
 // 2|u><u| - I directly), pattern-controlled gates, last-qubit measurement
 // and an amplitude/probability probe for differential testing.
@@ -23,6 +24,7 @@
 // dense backend supports everything.
 
 #include <complex>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -46,6 +48,13 @@ class UnsupportedOperation : public std::logic_error {
  public:
   explicit UnsupportedOperation(const std::string& what)
       : std::logic_error("backend: unsupported operation: " + what) {}
+};
+
+/// Which of A3's index-controlled oracles apply_on_index_run applies.
+enum class IndexOp : std::uint8_t {
+  kX,   ///< V_x: X on h                 (apply_x_on_index)
+  kZ,   ///< W_y: phase flip if h == 1   (apply_z_on_index)
+  kCX,  ///< R_y: X on target if h == 1  (apply_cx_on_index)
 };
 
 /// Abstract quantum register: everything procedure A3 applies or observes.
@@ -116,6 +125,35 @@ class QuantumBackend {
   virtual void apply_cx_on_index(unsigned first, unsigned count,
                                  std::uint64_t index, unsigned h,
                                  unsigned target) = 0;
+
+  /// A3's oracle over a run of streamed data bits: for every i with
+  /// ones[i] != 0 (ones holds 0/1 bytes), `op` on index offset + i of the
+  /// index register [0, count) — X on h, Z conditioned on h, or X on
+  /// `target` conditioned on h (`target` is read only by kCX). Requires
+  /// offset + ones.size() <= 2^count. The default loops the per-index calls
+  /// above over the set bytes; the dense backend overrides it with one
+  /// masked pass over contiguous amplitude ranges, bit-identical to that
+  /// loop.
+  virtual void apply_on_index_run(IndexOp op, unsigned count,
+                                  std::uint64_t offset,
+                                  std::span<const std::uint8_t> ones,
+                                  unsigned h, unsigned target) {
+    for (std::size_t i = 0; i < ones.size(); ++i) {
+      if (ones[i] == 0) continue;
+      const std::uint64_t index = offset + i;
+      switch (op) {
+        case IndexOp::kX:
+          apply_x_on_index(0, count, index, h);
+          break;
+        case IndexOp::kZ:
+          apply_z_on_index(0, count, index, h);
+          break;
+        case IndexOp::kCX:
+          apply_cx_on_index(0, count, index, h, target);
+          break;
+      }
+    }
+  }
 
   // --- snapshot / restore --------------------------------------------------
   /// Serializes the register for recognizer snapshot/restore. The payload is

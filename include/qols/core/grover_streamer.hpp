@@ -12,9 +12,13 @@
 //   5. measure the last qubit; output 1 - outcome.
 //
 // Register layout: qubits [0, 2k) = index register, qubit 2k = h (the oracle
-// workspace), qubit 2k+1 = l (the AND result R_y writes). Because each
-// streamed bit fixes the *entire* index register, its gate touches O(1)
-// amplitudes — the per-symbol cost of the simulation is constant.
+// workspace), qubit 2k+1 = l (the AND result R_y writes). Each streamed bit
+// fixes the *entire* index register, so its gate touches O(1) amplitudes and
+// the per-symbol cost of the simulation is constant. A run of data bits
+// between separators addresses consecutive indices, so feed_chunk hands the
+// whole run to the backend as one call (QuantumBackend::apply_on_index_run):
+// on the dense register that is one masked sequential pass per run instead
+// of a call per 1-bit.
 //
 // Simulation runs through a pluggable backend::QuantumBackend chosen per
 // instance (see qols/backend/registry.hpp): the dense StateVector while
@@ -35,6 +39,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "qols/backend/quantum_backend.hpp"
 #include "qols/gates/builder.hpp"
@@ -79,10 +84,11 @@ class GroverStreamer {
   /// Consumes one symbol of the word (same stream as A1/A2).
   void feed(stream::Symbol s);
 
-  /// Consumes a run of symbols; identical register evolution and RNG
-  /// consumption to per-symbol feeding. Zero bits only advance the offset
-  /// counter and the post-measurement tail is ignored wholesale, so both
-  /// are skipped in bulk; one-bits still emit their gate individually.
+  /// Consumes a run of symbols; identical register evolution, RNG
+  /// consumption and gates_applied() to per-symbol feeding. The chunk is
+  /// split at separators, and each data run (clipped at the block's end) is
+  /// one QuantumBackend::apply_on_index_run call; the post-measurement tail
+  /// is ignored wholesale. Gate-level mode (a gate sink) stays bit by bit.
   void feed_chunk(std::span<const stream::Symbol> chunk);
 
   /// A3's output: 1 if the measured ancilla was 0 ("looks disjoint"),
@@ -151,7 +157,16 @@ class GroverStreamer {
 
  private:
   void on_bit(bool bit);
+  /// A run of data bits of the current block (no separator).
+  void on_run(std::span<const stream::Symbol> run);
   void on_sep();
+  /// The oracle the current block applies per 1-bit; none in step 4's
+  /// z-block.
+  std::optional<backend::IndexOp> block_op() const noexcept;
+  /// Gate-level mode: the controls "index register == |idx>" (plus h == 1
+  /// when `with_h`), built in the reused terms_ buffer.
+  std::span<const quantum::ControlTerm> index_terms(std::uint64_t idx,
+                                                    bool with_h);
   void apply_diffusion();
 
   util::Rng rng_;
@@ -172,6 +187,7 @@ class GroverStreamer {
 
   std::unique_ptr<backend::QuantumBackend> backend_;
   std::unique_ptr<gates::CircuitBuilder> builder_;
+  std::vector<quantum::ControlTerm> terms_;  // index_terms() scratch
 };
 
 }  // namespace qols::core

@@ -21,7 +21,9 @@
 // pattern-controlled gate (CNOT, CZ, MCX, MCZ and the streaming oracles of
 // procedure A3: V_x, W_y, R_y driven by single input bits) enumerates only
 // its matching amplitudes; A3's oracles fix the whole index register, so
-// each touches O(1) amplitudes.
+// each touches O(1) amplitudes. A3 applies them over a whole run of input
+// bits at once through the *_on_index_run forms: the run's 0/1 bytes are the
+// mask of one sequential pass over contiguous amplitude ranges.
 //
 // Precision: the simulator is a class template on the amplitude scalar.
 // `StateVector` (double) is the reference; `StateVectorF` (float) is the
@@ -208,6 +210,22 @@ class StateVectorT {
   void apply_cx_on_index(unsigned first, unsigned count, std::uint64_t index,
                          unsigned h, unsigned target);
 
+  /// The same three oracles over a run of streamed input bits, on an index
+  /// register of qubits [0, count): ones[i] (0 or 1) says whether the gate
+  /// fires for index offset + i, and offset + ones.size() <= 2^count. Each
+  /// is one masked pass over contiguous amplitude ranges per value of the
+  /// qubits above the index register, with no per-bit call, and leaves the
+  /// register bit-identical to applying the set bits one by one through
+  /// apply_{x,z,cx}_on_index (swaps and sign flips are exact).
+  void apply_x_on_index_run(unsigned count, std::uint64_t offset,
+                            std::span<const std::uint8_t> ones,
+                            unsigned target);
+  void apply_z_on_index_run(unsigned count, std::uint64_t offset,
+                            std::span<const std::uint8_t> ones, unsigned h);
+  void apply_cx_on_index_run(unsigned count, std::uint64_t offset,
+                             std::span<const std::uint8_t> ones, unsigned h,
+                             unsigned target);
+
   // --- measurement / inspection --------------------------------------------
   /// P[measuring qubit q yields 1]. Accumulated in double in both precision
   /// modes (the decision-exactness half of the precision contract).
@@ -264,6 +282,17 @@ class StateVectorT {
   /// bit tbit clear (mask excludes tbit): shared core of MCX, CNOT, V_x and
   /// R_y. Both kernels touch only the matching amplitudes.
   void swap_matching(std::size_t mask, std::size_t want, std::size_t tbit);
+
+  /// Run forms of the two, for the *_on_index_run oracles. For every base b
+  /// with (b & mask) == want, a zero index field [0, count) and bit tbit
+  /// clear, and every r with ones[r] != 0: swap amplitudes b + offset + r
+  /// and b + offset + r + tbit (resp. negate b + offset + r).
+  void swap_on_index_run(unsigned count, std::uint64_t offset,
+                         std::span<const std::uint8_t> ones, std::size_t mask,
+                         std::size_t want, std::size_t tbit);
+  void negate_on_index_run(unsigned count, std::uint64_t offset,
+                           std::span<const std::uint8_t> ones,
+                           std::size_t mask, std::size_t want);
 
   unsigned num_qubits_;
   std::vector<Scalar> re_;

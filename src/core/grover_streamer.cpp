@@ -1,5 +1,6 @@
 #include "qols/core/grover_streamer.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
@@ -89,27 +90,66 @@ void GroverStreamer::feed_chunk(std::span<const Symbol> chunk) {
   const std::size_t n = chunk.size();
   while (i < n) {
     if (!in_prefix_ && (!active_ || done_)) return;  // inert for the rest
-    const Symbol s = chunk[i];
-    if (!in_prefix_ && s == Symbol::kZero) {
-      // A run of zero bits only advances the offset counter (on_bit returns
-      // before touching the register), or freezes on an overlong block —
-      // identical end state to feeding them one at a time.
-      std::size_t j = i + 1;
-      while (j < n && chunk[j] == Symbol::kZero) ++j;
-      const std::uint64_t run = j - i;
-      const std::uint64_t room = m_ > off_ ? m_ - off_ : 0;
-      if (run > room) {
-        off_ += room;
-        done_ = true;  // the first bit past m freezes the register
-      } else {
-        off_ += run;
-      }
-      i = j;
+    if (in_prefix_ || builder_ != nullptr) {
+      // The prefix is O(k) symbols; gate-level mode lowers bit by bit.
+      feed(chunk[i]);
+      ++i;
       continue;
     }
-    feed(s);
-    ++i;
+    if (chunk[i] == Symbol::kSep) {
+      on_sep();
+      ++i;
+      continue;
+    }
+    const std::size_t j = stream::find_sep(chunk.data(), i + 1, n);
+    on_run(chunk.subspan(i, j - i));
+    i = j;
   }
+}
+
+std::optional<backend::IndexOp> GroverStreamer::block_op() const noexcept {
+  if (rep_ < j_) {
+    // Grover phase: V_x on the x-block, W_y on the y-block, V_z on the
+    // z-block.
+    return block_ == 1 ? backend::IndexOp::kZ : backend::IndexOp::kX;
+  }
+  // Step 4 (repetition j+1): V_x on the x-block, R_y on the y-block; its
+  // z-block is never reached (on_sep ends the run after the y-block).
+  if (block_ == 0) return backend::IndexOp::kX;
+  if (block_ == 1) return backend::IndexOp::kCX;
+  return std::nullopt;
+}
+
+void GroverStreamer::on_run(std::span<const Symbol> run) {
+  const std::uint64_t room = m_ > off_ ? m_ - off_ : 0;
+  if (run.size() > room) {
+    run = run.first(room);
+    done_ = true;  // as in on_bit: the first bit past m freezes the register
+  }
+  const auto op = block_op();
+  if (backend_ && op) {
+    const auto ones = static_cast<std::uint64_t>(
+        std::count(run.begin(), run.end(), Symbol::kOne));
+    if (ones != 0) {
+      // Symbol's byte values make the run its own 0/1 mask.
+      backend_->apply_on_index_run(
+          *op, 2 * k_, off_,
+          {reinterpret_cast<const std::uint8_t*>(run.data()), run.size()},
+          2 * k_, 2 * k_ + 1);
+      gates_applied_ += ones;
+    }
+  }
+  off_ += run.size();
+}
+
+std::span<const ControlTerm> GroverStreamer::index_terms(std::uint64_t idx,
+                                                         bool with_h) {
+  terms_.clear();
+  for (unsigned q = 0; q < 2 * k_; ++q) {
+    terms_.push_back({q, ((idx >> q) & 1) != 0});
+  }
+  if (with_h) terms_.push_back({2 * k_, true});
+  return terms_;
 }
 
 void GroverStreamer::on_bit(bool bit) {
@@ -121,60 +161,36 @@ void GroverStreamer::on_bit(bool bit) {
   const std::uint64_t idx = off_;
   ++off_;
   if (!bit) return;
+  const auto op = block_op();
+  if (!op) return;
 
   const unsigned h = 2 * k_;
   const unsigned l = 2 * k_ + 1;
-  const bool grover_phase = rep_ < j_;
-
-  if (grover_phase) {
-    // V_x / W_y / V_z, one streamed bit at a time.
-    if (backend_) ++gates_applied_;
-    if (block_ == 0 || block_ == 2) {
-      if (backend_) backend_->apply_x_on_index(0, 2 * k_, idx, h);
-      if (builder_) {
-        std::vector<ControlTerm> terms;
-        terms.reserve(2 * k_);
-        for (unsigned q = 0; q < 2 * k_; ++q) {
-          terms.push_back({q, ((idx >> q) & 1) != 0});
-        }
-        builder_->mcx_pattern(terms, h);
-      }
-    } else {
-      if (backend_) backend_->apply_z_on_index(0, 2 * k_, idx, h);
-      if (builder_) {
-        std::vector<ControlTerm> terms;
-        terms.reserve(2 * k_ + 1);
-        for (unsigned q = 0; q < 2 * k_; ++q) {
-          terms.push_back({q, ((idx >> q) & 1) != 0});
-        }
-        terms.push_back({h, true});
-        builder_->mcz_pattern(terms);
-      }
+  if (backend_) {
+    ++gates_applied_;
+    switch (*op) {
+      case backend::IndexOp::kX:
+        backend_->apply_x_on_index(0, 2 * k_, idx, h);
+        break;
+      case backend::IndexOp::kZ:
+        backend_->apply_z_on_index(0, 2 * k_, idx, h);
+        break;
+      case backend::IndexOp::kCX:
+        backend_->apply_cx_on_index(0, 2 * k_, idx, h, l);
+        break;
     }
-    return;
   }
-  // Step 4 (repetition j+1): V_x on the x-block, R_y on the y-block.
-  if (backend_ && block_ != 2) ++gates_applied_;
-  if (block_ == 0) {
-    if (backend_) backend_->apply_x_on_index(0, 2 * k_, idx, h);
-    if (builder_) {
-      std::vector<ControlTerm> terms;
-      terms.reserve(2 * k_);
-      for (unsigned q = 0; q < 2 * k_; ++q) {
-        terms.push_back({q, ((idx >> q) & 1) != 0});
-      }
-      builder_->mcx_pattern(terms, h);
-    }
-  } else if (block_ == 1) {
-    if (backend_) backend_->apply_cx_on_index(0, 2 * k_, idx, h, l);
-    if (builder_) {
-      std::vector<ControlTerm> terms;
-      terms.reserve(2 * k_ + 1);
-      for (unsigned q = 0; q < 2 * k_; ++q) {
-        terms.push_back({q, ((idx >> q) & 1) != 0});
-      }
-      terms.push_back({h, true});
-      builder_->mcx_pattern(terms, l);
+  if (builder_) {
+    switch (*op) {
+      case backend::IndexOp::kX:
+        builder_->mcx_pattern(index_terms(idx, false), h);
+        break;
+      case backend::IndexOp::kZ:
+        builder_->mcz_pattern(index_terms(idx, true));
+        break;
+      case backend::IndexOp::kCX:
+        builder_->mcx_pattern(index_terms(idx, true), l);
+        break;
     }
   }
 }

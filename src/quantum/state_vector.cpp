@@ -212,6 +212,40 @@ double prob_run_scalar(const S* __restrict__ r, const S* __restrict__ im,
   return acc;
 }
 
+// Masked forms for A3's oracle over a run of streamed bits: element i is
+// touched iff ones[i] != 0 (the run's own 0/1 input bytes). A select, not a
+// branch, so the clones vectorize; a swap or sign flip is exact either way.
+template <typename S>
+void masked_swap_run_scalar(S* __restrict__ ra, S* __restrict__ rb,
+                            S* __restrict__ ia, S* __restrict__ ib,
+                            const std::uint8_t* __restrict__ ones,
+                            std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool on = ones[i] != 0;
+    const S xr = ra[i];
+    const S yr = rb[i];
+    ra[i] = on ? yr : xr;
+    rb[i] = on ? xr : yr;
+    const S xi = ia[i];
+    const S yi = ib[i];
+    ia[i] = on ? yi : xi;
+    ib[i] = on ? xi : yi;
+  }
+}
+
+template <typename S>
+void masked_neg_run_scalar(S* __restrict__ r, S* __restrict__ im,
+                           const std::uint8_t* __restrict__ ones,
+                           std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool on = ones[i] != 0;
+    const S x = r[i];
+    const S y = im[i];
+    r[i] = on ? -x : x;
+    im[i] = on ? -y : y;
+  }
+}
+
 #if QOLS_X86
 #define QOLS_AVX2_CLONE __attribute__((target("avx2"), flatten))
 #else
@@ -247,6 +281,23 @@ template <typename S>
 QOLS_AVX2_CLONE void scale_run_avx2(S* __restrict__ r, S* __restrict__ im,
                                     std::size_t n, S s) {
   scale_run_scalar(r, im, n, s);
+}
+
+template <typename S>
+QOLS_AVX2_CLONE void masked_swap_run_avx2(S* __restrict__ ra,
+                                          S* __restrict__ rb,
+                                          S* __restrict__ ia,
+                                          S* __restrict__ ib,
+                                          const std::uint8_t* __restrict__ ones,
+                                          std::size_t n) {
+  masked_swap_run_scalar(ra, rb, ia, ib, ones, n);
+}
+
+template <typename S>
+QOLS_AVX2_CLONE void masked_neg_run_avx2(S* __restrict__ r, S* __restrict__ im,
+                                         const std::uint8_t* __restrict__ ones,
+                                         std::size_t n) {
+  masked_neg_run_scalar(r, im, ones, n);
 }
 
 template <typename S>
@@ -455,6 +506,21 @@ inline void scale_run(S* r, S* im, std::size_t n, S s, bool avx2) {
 }
 
 template <typename S>
+inline void masked_swap_run(S* ra, S* rb, S* ia, S* ib,
+                            const std::uint8_t* ones, std::size_t n,
+                            bool avx2) {
+  if (avx2) return masked_swap_run_avx2(ra, rb, ia, ib, ones, n);
+  masked_swap_run_scalar(ra, rb, ia, ib, ones, n);
+}
+
+template <typename S>
+inline void masked_neg_run(S* r, S* im, const std::uint8_t* ones,
+                           std::size_t n, bool avx2) {
+  if (avx2) return masked_neg_run_avx2(r, im, ones, n);
+  masked_neg_run_scalar(r, im, ones, n);
+}
+
+template <typename S>
 inline double prob_run(const S* r, const S* im, std::size_t n, bool avx2) {
   return avx2 ? prob_run_avx2(r, im, n) : prob_run_scalar(r, im, n);
 }
@@ -491,6 +557,16 @@ void for_pair_runs(std::size_t dim, unsigned q, Fn&& fn) {
   }
 }
 
+// fn(f | want) for every subset f of `free`, 0 first.
+template <typename Fn>
+void for_subsets(std::size_t free, std::size_t want, Fn&& fn) {
+  std::size_t f = 0;
+  do {
+    fn(f | want);
+    f = (f - free) & free;
+  } while (f != 0);
+}
+
 // Matching-set enumeration, the core of every pattern-controlled gate:
 // visits exactly the basis indices i with (i & fixed) == want. They form
 // contiguous runs [base, base + run) of length run = 2^(trailing free bits),
@@ -507,19 +583,13 @@ void for_matching(std::size_t dim, std::size_t fixed, std::size_t want,
   const std::size_t run =
       fixed == 0 ? dim : std::size_t{1} << std::countr_zero(fixed);
   const std::size_t free_high = (dim - 1) & ~fixed & ~(run - 1);
-  std::size_t f = 0;
   if (run == 1) {
-    do {
-      one(f | want);
-      f = (f - free_high) & free_high;
-    } while (f != 0);
+    for_subsets(free_high, want, one);
     return;
   }
   const bool avx2 = active_simd_mode() == SimdMode::kAvx2;
-  do {
-    runs(f | want, run, avx2);
-    f = (f - free_high) & free_high;
-  } while (f != 0);
+  for_subsets(free_high, want,
+              [&](std::size_t base) { runs(base, run, avx2); });
 }
 
 // Bits [first, first + count): an index register's mask.
@@ -889,6 +959,75 @@ void StateVectorT<Scalar>::apply_cx_on_index(unsigned first, unsigned count,
   swap_matching(range_mask(first, count) | hbit,
                 (static_cast<std::size_t>(index) << first) | hbit,
                 std::size_t{1} << target);
+}
+
+// A3's oracles over a run of bits. With the index register in the low bits,
+// the amplitudes a run touches form one contiguous range per value of the
+// qubits above it, so each oracle is a masked pass over those ranges: V_x
+// swaps [off, off+len) with its h=1 twin for each l, W_y negates the h=1
+// ranges, R_y swaps the h=1 ranges with their l=1 twins.
+template <typename Scalar>
+void StateVectorT<Scalar>::swap_on_index_run(unsigned count,
+                                             std::uint64_t offset,
+                                             std::span<const std::uint8_t> ones,
+                                             std::size_t mask,
+                                             std::size_t want,
+                                             std::size_t tbit) {
+  const std::size_t index_mask = range_mask(0, count);
+  assert(count < num_qubits_ && tbit < dim());
+  assert(((mask | tbit) & index_mask) == 0 && (mask & tbit) == 0);
+  assert(offset + ones.size() <= index_mask + 1);
+  const bool avx2 = active_simd_mode() == SimdMode::kAvx2;
+  Scalar* re = re_.data() + offset;
+  Scalar* im = im_.data() + offset;
+  for_subsets((dim() - 1) & ~index_mask & ~mask & ~tbit, want,
+              [&](std::size_t base) {
+                masked_swap_run(re + base, re + base + tbit, im + base,
+                                im + base + tbit, ones.data(), ones.size(),
+                                avx2);
+              });
+}
+
+template <typename Scalar>
+void StateVectorT<Scalar>::negate_on_index_run(
+    unsigned count, std::uint64_t offset, std::span<const std::uint8_t> ones,
+    std::size_t mask, std::size_t want) {
+  const std::size_t index_mask = range_mask(0, count);
+  assert(count < num_qubits_ && (mask & index_mask) == 0);
+  assert(offset + ones.size() <= index_mask + 1);
+  const bool avx2 = active_simd_mode() == SimdMode::kAvx2;
+  Scalar* re = re_.data() + offset;
+  Scalar* im = im_.data() + offset;
+  for_subsets((dim() - 1) & ~index_mask & ~mask, want, [&](std::size_t base) {
+    masked_neg_run(re + base, im + base, ones.data(), ones.size(), avx2);
+  });
+}
+
+template <typename Scalar>
+void StateVectorT<Scalar>::apply_x_on_index_run(
+    unsigned count, std::uint64_t offset, std::span<const std::uint8_t> ones,
+    unsigned target) {
+  assert(target < num_qubits_);
+  swap_on_index_run(count, offset, ones, 0, 0, std::size_t{1} << target);
+}
+
+template <typename Scalar>
+void StateVectorT<Scalar>::apply_z_on_index_run(
+    unsigned count, std::uint64_t offset, std::span<const std::uint8_t> ones,
+    unsigned h) {
+  assert(h < num_qubits_);
+  const std::size_t hbit = std::size_t{1} << h;
+  negate_on_index_run(count, offset, ones, hbit, hbit);
+}
+
+template <typename Scalar>
+void StateVectorT<Scalar>::apply_cx_on_index_run(
+    unsigned count, std::uint64_t offset, std::span<const std::uint8_t> ones,
+    unsigned h, unsigned target) {
+  assert(h < num_qubits_ && target < num_qubits_ && h != target);
+  const std::size_t hbit = std::size_t{1} << h;
+  swap_on_index_run(count, offset, ones, hbit, hbit,
+                    std::size_t{1} << target);
 }
 
 template <typename Scalar>

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "qols/backend/dense_backend.hpp"
@@ -220,6 +222,64 @@ TEST(StructuredBackend, RandomizedSupportedSequencesMatchDense) {
     ASSERT_NEAR(s.norm(), 1.0, 1e-9) << "trial " << trial;
     // The class count never explodes: these ops touch O(1) indices each.
     ASSERT_LE(s.peak_class_count(), 64u);
+  }
+}
+
+TEST(StructuredBackend, IndexRunsMatchPerIndexCalls) {
+  // apply_on_index_run against the same set bits applied one by one,
+  // exactly: the structured backend's default loop, and the dense
+  // override's masked kernels reached through the backend interface.
+  using qols::backend::IndexOp;
+  Rng rng(43);
+  const unsigned h = kIndexWidth;
+  const unsigned l = kIndexWidth + 1;
+  const std::uint64_t m = std::uint64_t{1} << kIndexWidth;
+  for (int trial = 0; trial < 30; ++trial) {
+    StructuredBackend s_run(kQubits, kIndexWidth);
+    StructuredBackend s_bit(kQubits, kIndexWidth);
+    DenseBackend d_run(kQubits);
+    DenseBackend d_bit(kQubits);
+    for (QuantumBackend* b : std::initializer_list<QuantumBackend*>{
+             &s_run, &s_bit, &d_run, &d_bit}) {
+      b->apply_h_range(0, kIndexWidth);
+    }
+    for (int run = 0; run < 12; ++run) {
+      const std::uint64_t off = rng.below(m + 1);
+      std::vector<std::uint8_t> ones(rng.below(m - off + 1));
+      for (auto& bit : ones) bit = rng.coin() ? 1 : 0;
+      const auto op = static_cast<IndexOp>(rng.below(3));
+      for (QuantumBackend* b : {static_cast<QuantumBackend*>(&s_run),
+                                static_cast<QuantumBackend*>(&d_run)}) {
+        b->apply_on_index_run(op, kIndexWidth, off, ones, h, l);
+      }
+      for (QuantumBackend* b : {static_cast<QuantumBackend*>(&s_bit),
+                                static_cast<QuantumBackend*>(&d_bit)}) {
+        for (std::size_t i = 0; i < ones.size(); ++i) {
+          if (ones[i] == 0) continue;
+          switch (op) {
+            case IndexOp::kX:
+              b->apply_x_on_index(0, kIndexWidth, off + i, h);
+              break;
+            case IndexOp::kZ:
+              b->apply_z_on_index(0, kIndexWidth, off + i, h);
+              break;
+            case IndexOp::kCX:
+              b->apply_cx_on_index(0, kIndexWidth, off + i, h, l);
+              break;
+          }
+        }
+      }
+      if (run % 4 == 3) {
+        for (QuantumBackend* b : std::initializer_list<QuantumBackend*>{
+                 &s_run, &s_bit, &d_run, &d_bit}) {
+          b->apply_grover_diffusion(0, kIndexWidth);
+        }
+      }
+    }
+    expect_states_equal(s_run, s_bit, 0.0);
+    expect_states_equal(d_run, d_bit, 0.0);
+    expect_states_equal(s_run, d_run);
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include "qols/core/amplified.hpp"
 #include "qols/core/classical_recognizers.hpp"
+#include "qols/core/grover_streamer.hpp"
 #include "qols/core/quantum_recognizer.hpp"
 #include "qols/lang/ldisj_instance.hpp"
 #include "qols/machine/online_recognizer.hpp"
@@ -219,6 +220,169 @@ TEST(ChunkDifferential, RunStreamMatchesManualPerSymbolLoop) {
       auto s2 = inst.stream();
       while (auto sym = s2->next()) manual->feed(*sym);
       ASSERT_EQ(chunked, manual->finish()) << name << " seed=" << seed;
+    }
+  }
+}
+
+// Register level: A3's streamer fed per symbol (one gate per 1-bit) and
+// chunked (one backend call per run of data bits) must leave every
+// amplitude, the gate tally and j equal, on every backend. Chunk cuts at
+// random sizes land inside runs, so a run split across chunks, a run
+// clipped at the block end m and a run that continues past m all occur.
+
+using qols::core::GroverStreamer;
+using qols::quantum::Precision;
+
+struct StreamerConfig {
+  std::string backend;
+  Precision precision;
+};
+
+const StreamerConfig kStreamerConfigs[] = {
+    {"dense", Precision::kDouble},
+    {"dense", Precision::kSingle},
+    {"structured", Precision::kDouble},
+};
+
+GroverStreamer make_streamer(const StreamerConfig& c, std::uint64_t seed) {
+  GroverStreamer::Options opts;
+  opts.backend = c.backend;
+  opts.precision = c.precision;
+  return GroverStreamer(qols::util::Rng(seed), opts);
+}
+
+void expect_same_streamer(const GroverStreamer& a, const GroverStreamer& b,
+                          const std::string& what) {
+  ASSERT_EQ(a.chosen_j(), b.chosen_j()) << what;
+  ASSERT_EQ(a.gates_applied(), b.gates_applied()) << what;
+  ASSERT_EQ(a.not_simulated(), b.not_simulated()) << what;
+  const auto* ra = a.simulation_backend();
+  const auto* rb = b.simulation_backend();
+  ASSERT_EQ(ra == nullptr, rb == nullptr) << what;
+  if (ra == nullptr) return;
+  const std::uint64_t dim = std::uint64_t{1} << ra->num_qubits();
+  for (std::uint64_t i = 0; i < dim; ++i) {
+    // Bit-identical, not near: the run path performs the same exact swaps
+    // and sign flips as the per-bit path.
+    const auto x = ra->amplitude(i);
+    const auto y = rb->amplitude(i);
+    ASSERT_EQ(x.real(), y.real()) << what << " amplitude " << i;
+    ASSERT_EQ(x.imag(), y.imag()) << what << " amplitude " << i;
+  }
+}
+
+/// Feeds `word` per symbol and under each cut plan, and compares registers
+/// after the stream and the measured outputs after finish_output().
+void expect_streamer_chunking_invariant(const std::string& name,
+                                        const std::vector<Symbol>& word,
+                                        unsigned k, std::uint64_t seed) {
+  const std::uint64_t m = std::uint64_t{1} << (2 * std::max(k, 1u));
+  qols::util::Rng cut_rng(seed ^ 0x5eed);
+  std::vector<std::vector<std::size_t>> plans;
+  // Fixed sizes: {1, 7} only up to k = 5, where feeding at that pace is
+  // cheap; 64 and the whole word everywhere.
+  for (const std::size_t size : {std::size_t{1}, std::size_t{7},
+                                 std::size_t{64}, word.size()}) {
+    if (size < 64 && k > 5) continue;
+    plans.push_back({std::max<std::size_t>(size, 1)});
+  }
+  // Random cuts, mostly inside a block's data run.
+  std::vector<std::size_t> random_plan;
+  for (std::size_t at = 0; at < word.size();) {
+    random_plan.push_back(1 + cut_rng.below(2 * m));
+    at += random_plan.back();
+  }
+  plans.push_back(std::move(random_plan));
+
+  for (const StreamerConfig& config : kStreamerConfigs) {
+    // The structured backend's run path is the per-index loop itself
+    // (pinned in test_backend_structured); at k = 7 its per-bit hash
+    // updates would make it this suite's slowest case.
+    if (config.backend == "structured" && k > 6) continue;
+    const std::string who = name + " backend=" + config.backend +
+                            (config.precision == Precision::kSingle
+                                 ? "/float"
+                                 : "") +
+                            " seed=" + std::to_string(seed);
+    GroverStreamer per_symbol = make_streamer(config, seed);
+    for (const Symbol s : word) per_symbol.feed(s);
+    std::vector<int> outputs;
+    for (std::size_t p = 0; p < plans.size(); ++p) {
+      const std::vector<std::size_t>& plan = plans[p];
+      GroverStreamer chunked = make_streamer(config, seed);
+      std::size_t at = 0;
+      for (std::size_t c = 0; at < word.size(); ++c) {
+        const std::size_t n = std::min(plan[c % plan.size()], word.size() - at);
+        chunked.feed_chunk(std::span<const Symbol>(word.data() + at, n));
+        at += n;
+      }
+      const std::string what = who + " plan=" + std::to_string(p);
+      expect_same_streamer(per_symbol, chunked, what);
+      if (::testing::Test::HasFatalFailure()) return;
+      outputs.push_back(chunked.finish_output());
+    }
+    const int expected = per_symbol.finish_output();
+    for (std::size_t p = 0; p < outputs.size(); ++p) {
+      ASSERT_EQ(expected, outputs[p]) << who << " plan=" << p;
+    }
+  }
+}
+
+std::vector<Symbol> word_of(const std::string& text) {
+  qols::stream::StringStream stream(text);
+  return drain(stream);
+}
+
+TEST(ChunkDifferential, StreamerRegistersAgreeAcrossChunkings) {
+  qols::util::Rng rng(505);
+  for (unsigned k = 1; k <= 7; ++k) {
+    const std::string at = " k=" + std::to_string(k);
+    if (k < 7) {  // one ~5M-symbol word is enough at k = 7
+      auto s = LDisjInstance::make_disjoint(k, rng).stream();
+      expect_streamer_chunking_invariant("member" + at, drain(*s), k,
+                                         1000 + k);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    {
+      auto s = LDisjInstance::make_with_intersections(k, 1, rng).stream();
+      expect_streamer_chunking_invariant("intersecting" + at, drain(*s), k,
+                                         2000 + k);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(ChunkDifferential, StreamerRegistersAgreeOnMutantsAndOverlongBlocks) {
+  qols::util::Rng rng(606);
+  for (const unsigned k : {2u, 3u}) {
+    const auto inst = LDisjInstance::make_with_intersections(k, 1, rng);
+    for (const MutantKind kind :
+         {MutantKind::kBadPrefix, MutantKind::kTrailingGarbage,
+          MutantKind::kXZMismatch, MutantKind::kYDrift, MutantKind::kTruncated,
+          MutantKind::kSepInsideBlock}) {
+      auto s = make_mutant_stream(inst, kind, rng);
+      expect_streamer_chunking_invariant(
+          "mutant=" + std::to_string(static_cast<int>(kind)) +
+              " k=" + std::to_string(k),
+          drain(*s), k, 3000 + k);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  // Overlong blocks (m = 4 at k = 1) whose 1-bits cross the end of the
+  // block, in the x-, y- and z-block of the Grover phase and of step 4
+  // (which repetition is step 4 depends on the seed's j), plus a long
+  // all-ones tail.
+  const std::vector<std::string> words = {
+      "1#11111#",          "1#0110#11111#",
+      "1#0110#0011#1101#", "1#1111#1111#1111#",
+      "1#1010#0101#1010#1010#0101#111111111#",
+      "11#" + std::string(40, '1') + "#"};
+  for (const std::string& text : words) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const unsigned k = text[1] == '1' ? 2 : 1;
+      expect_streamer_chunking_invariant("word=" + text, word_of(text), k,
+                                         4000 + seed);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <numbers>
 #include <string>
 #include <utility>
@@ -514,6 +515,97 @@ TYPED_TEST(MatchingKernels, RandomControlPatternsMatchFullScan) {
                       "mcx target=" + std::to_string(target) + " " + at);
         }
         if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+// A3's oracles over a run of streamed bits against the same bits applied one
+// by one through apply_{x,z,cx}_on_index, component for component: the run
+// kernels are masked swaps and sign flips, so the two must be bit-identical
+// in both precisions and both SimdModes.
+template <typename Scalar>
+class IndexRunKernels : public ::testing::Test {};
+TYPED_TEST_SUITE(IndexRunKernels, Scalars);
+
+template <typename Scalar>
+void expect_same_state(const StateVectorT<Scalar>& a,
+                       const StateVectorT<Scalar>& b, const std::string& what) {
+  for (std::size_t i = 0; i < a.dim(); ++i) {
+    EXPECT_EQ(a.re()[i], b.re()[i]) << what << " re[" << i << "]";
+    EXPECT_EQ(a.im()[i], b.im()[i]) << what << " im[" << i << "]";
+  }
+}
+
+TYPED_TEST(IndexRunKernels, RunsMatchPerBitGates) {
+  using Scalar = TypeParam;
+  SimdModeGuard guard;
+  Rng rng(41);
+  for (const SimdMode mode : forced_modes()) {
+    qols::quantum::set_simd_mode(mode);
+    for (unsigned k = 1; k <= 6; ++k) {
+      const unsigned count = 2 * k;
+      const std::uint64_t m = std::uint64_t{1} << count;
+      for (int trial = 0; trial < 24; ++trial) {
+        // Shapes: empty, one bit, a run ending exactly at m, and random.
+        std::uint64_t off = rng.below(m + 1);
+        std::uint64_t len = 0;
+        switch (trial % 4) {
+          case 0:
+            break;
+          case 1:
+            off = rng.below(m);
+            len = 1;
+            break;
+          case 2:
+            len = m - off;
+            break;
+          default:
+            len = rng.below(m - off + 1);
+            break;
+        }
+        // A3's density (~1/4 ones) and a denser mask on alternate trials.
+        const std::uint64_t one_in = trial % 2 == 0 ? 4 : 2;
+        std::vector<std::uint8_t> ones(len);
+        for (auto& b : ones) b = rng.below(one_in) == 0 ? 1 : 0;
+        // A3's roles (h = 2k, l = 2k+1), then the two tail qubits swapped.
+        for (const unsigned h : {count, count + 1}) {
+          const unsigned t = h == count ? count + 1 : count;
+          const std::string at =
+              "mode=" + std::to_string(static_cast<int>(mode)) +
+              " k=" + std::to_string(k) + " off=" + std::to_string(off) +
+              " len=" + std::to_string(len) + " h=" + std::to_string(h);
+          const StateVectorT<Scalar> start =
+              random_pair<Scalar>(count + 2, rng).first;
+          {
+            StateVectorT<Scalar> a = start;
+            StateVectorT<Scalar> b = start;
+            a.apply_x_on_index_run(count, off, ones, h);
+            for (std::size_t i = 0; i < len; ++i) {
+              if (ones[i] != 0) b.apply_x_on_index(0, count, off + i, h);
+            }
+            expect_same_state(a, b, "x run " + at);
+          }
+          {
+            StateVectorT<Scalar> a = start;
+            StateVectorT<Scalar> b = start;
+            a.apply_z_on_index_run(count, off, ones, h);
+            for (std::size_t i = 0; i < len; ++i) {
+              if (ones[i] != 0) b.apply_z_on_index(0, count, off + i, h);
+            }
+            expect_same_state(a, b, "z run " + at);
+          }
+          {
+            StateVectorT<Scalar> a = start;
+            StateVectorT<Scalar> b = start;
+            a.apply_cx_on_index_run(count, off, ones, h, t);
+            for (std::size_t i = 0; i < len; ++i) {
+              if (ones[i] != 0) b.apply_cx_on_index(0, count, off + i, h, t);
+            }
+            expect_same_state(a, b, "cx run " + at);
+          }
+          if (::testing::Test::HasFailure()) return;
+        }
       }
     }
   }
