@@ -3,7 +3,7 @@
 //   qols_fuzz                                # 10-second soak, seed 1
 //   qols_fuzz --budget-seconds 60 --seed 7   # time-boxed CI leg
 //   qols_fuzz --cases 100000                 # case-count budget
-//   qols_fuzz --replay qf5-...               # re-check one failure token
+//   qols_fuzz --replay qf6-...               # re-check one failure token
 //   qols_fuzz --float --budget-seconds 30    # float-amplitude quantum soak
 //   qols_fuzz --snapshot --cases 100000      # snapshot/resume (P7) on every case
 //   qols_fuzz --wire --cases 100000          # frame-level wire (P8) on every case

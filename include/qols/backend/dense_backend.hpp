@@ -118,7 +118,7 @@ class DenseBackendT final : public QuantumBackend {
     std::vector<Scalar> im(state_.dim());
     for (Scalar& v : re) v = get_scalar(r);
     for (Scalar& v : im) v = get_scalar(r);
-    state_.load(std::move(re), std::move(im));
+    state_.load(re, im);
   }
 
   double probability_one(unsigned q) const override {

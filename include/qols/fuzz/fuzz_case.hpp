@@ -68,9 +68,6 @@ inline constexpr std::uint64_t kNoSnapshot = ~std::uint64_t{0};
 inline constexpr std::uint64_t kNoWire = ~std::uint64_t{0};
 /// Sentinel for crash_point: the case skips the crash/recovery property.
 inline constexpr std::uint64_t kNoCrash = ~std::uint64_t{0};
-/// Sentinel for migrate_step: the crash case (if any) skips the migration
-/// detour before the checkpoint.
-inline constexpr std::uint64_t kNoMigrate = ~std::uint64_t{0};
 
 /// A fully explicit fuzz case. `seed` still matters at realization time: it
 /// drives the instance bits, mutation sites, malformed content, ragged
@@ -98,10 +95,6 @@ struct FuzzCase {
   /// checkpoints with persist() and dies, a fresh service recover()s from
   /// the manifest and finishes the word. kNoCrash = skip P9.
   std::uint64_t crash_point = kNoCrash;
-  /// Raw cross-shard migration target for P9 (reduced mod shard count): the
-  /// session is migrate()d right before the checkpoint, so recovery also
-  /// proves migrated placement survives a restart. kNoMigrate = no detour.
-  std::uint64_t migrate_step = kNoMigrate;
 
   /// Draws a full case from one seed (the generator's distribution: ~80%
   /// classical recognizers, quantum capped at k <= 3, most words small).

@@ -49,8 +49,7 @@
 //                         byte and demand a typed kMalformedFrame error and
 //                         a closed connection — never a crash.
 //   P9 crash-recovery   : the word is fed to a DURABLE RecognizerService up
-//                         to a seeded cut (optionally migrate()d across
-//                         shards first), the service checkpoints with
+//                         to a seeded cut, the service checkpoints with
 //                         persist() and is destroyed — the crash — and a
 //                         fresh service recover()s the session from the
 //                         manifest + spill in the same directory, feeds the

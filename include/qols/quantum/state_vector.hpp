@@ -37,6 +37,7 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string_view>
@@ -98,6 +99,30 @@ struct ControlTerm {
   bool value;
 };
 
+/// Allocator of the register halves: 64-byte (cache-line) aligned, so a
+/// 32-byte AVX2 access never straddles two lines. With operator new's
+/// 16-byte alignment, where a register landed (and how fast its kernels
+/// ran) depended on the sizes of unrelated earlier heap allocations.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t) noexcept { ::operator delete(p, kAlign); }
+
+  template <typename U>
+  bool operator==(const CacheLineAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
 /// Exact n-qubit pure state, little-endian (qubit q is bit q of the basis
 /// index). Starts in |0...0>. `Scalar` is the amplitude component type;
 /// see the Precision notes above.
@@ -143,15 +168,15 @@ class StateVectorT {
   void set_basis_state(std::size_t basis);
 
   /// Overwrites the register with externally supplied SoA amplitudes
-  /// (snapshot restore). Both vectors must match dim() exactly; the bytes
-  /// are adopted verbatim, so a restored register is bit-identical to the
+  /// (snapshot restore). Both spans must match dim() exactly; the values
+  /// are copied verbatim, so a restored register is bit-identical to the
   /// serialized one. Throws std::invalid_argument on a size mismatch.
-  void load(std::vector<Scalar> re, std::vector<Scalar> im) {
+  void load(std::span<const Scalar> re, std::span<const Scalar> im) {
     if (re.size() != dim() || im.size() != dim()) {
       throw std::invalid_argument("StateVectorT::load: dimension mismatch");
     }
-    re_ = std::move(re);
-    im_ = std::move(im);
+    re_.assign(re.begin(), re.end());
+    im_.assign(im.begin(), im.end());
   }
 
   // --- one-qubit gates -----------------------------------------------------
@@ -295,8 +320,8 @@ class StateVectorT {
                            std::size_t mask, std::size_t want);
 
   unsigned num_qubits_;
-  std::vector<Scalar> re_;
-  std::vector<Scalar> im_;
+  std::vector<Scalar, CacheLineAllocator<Scalar>> re_;
+  std::vector<Scalar, CacheLineAllocator<Scalar>> im_;
 };
 
 /// The reference (double) simulator — the type the rest of the library names.

@@ -115,7 +115,7 @@ class RecognizerService {
     /// removed (best effort) with the service. Durable services (below) keep
     /// their spill directory across restarts instead.
     std::string spill_dir{};
-    /// Durable mode: journal every open/evict/revive/finish/migrate into the
+    /// Durable mode: journal every open/evict/revive/finish into the
     /// session manifest (SessionTable) under spill_dir, so persist() +
     /// recover() carry live sessions across a process restart. Requires a
     /// non-empty spill_dir (the directory IS the durable identity; the ctor
@@ -145,9 +145,6 @@ class RecognizerService {
     /// Spill-file bytes written by evict() / read back by revive.
     std::uint64_t spill_bytes_written = 0;
     std::uint64_t spill_bytes_read = 0;
-    /// Cross-shard migrations completed (resident-path migrations also bump
-    /// evictions/revives — the move is literally an evict→revive).
-    std::uint64_t migrations = 0;
     /// Sessions re-adopted from the manifest by recover().
     std::uint64_t recovered_sessions = 0;
 
@@ -244,18 +241,6 @@ class RecognizerService {
   /// to drain.
   void flush();
 
-  /// Moves a session to `target_shard`. A resident session is spilled on its
-  /// old shard and revived on the new one (evict→revive, exactly the hot-
-  /// shard shedding path); an evicted one just changes its recorded shard.
-  /// Migrating to the session's current shard is a no-op (counters
-  /// untouched). Throws std::out_of_range on an unknown/finished id and
-  /// std::invalid_argument when target_shard >= shard_count().
-  void migrate(SessionId id, std::size_t target_shard);
-
-  /// The shard a session is currently pinned to. Throws std::out_of_range
-  /// on an unknown/finished id.
-  std::size_t shard_of(SessionId id);
-
   /// What recover() rebuilt from the manifest.
   struct RecoveryReport {
     /// Sessions re-adopted (all evicted; they revive lazily on first feed).
@@ -307,13 +292,11 @@ class RecognizerService {
   /// Zeroes the live accumulators (benchmark warmup discard).
   void reset_stats() noexcept;
   const Config& config() const noexcept { return config_; }
-  std::size_t shard_count() const noexcept { return shards_.size(); }
 
  private:
   struct Session {
     std::unique_ptr<machine::OnlineRecognizer> recognizer;
     std::vector<stream::Symbol> pending;
-    std::size_t shard = 0;
     bool evicted = false;
     /// Construction seed — recorded so the manifest can be compacted to
     /// kOpen records that rebuild the session faithfully.
@@ -343,7 +326,6 @@ class RecognizerService {
     std::atomic<std::uint64_t> revives{0};
     std::atomic<std::uint64_t> spill_bytes_written{0};
     std::atomic<std::uint64_t> spill_bytes_read{0};
-    std::atomic<std::uint64_t> migrations{0};
     std::atomic<std::uint64_t> recovered_sessions{0};
   };
 
@@ -360,6 +342,11 @@ class RecognizerService {
   };
 
   Session& session_or_throw(SessionId id);
+  /// The shard that owns a session: a function of its id alone, so no
+  /// session ever changes shard and no operation needs two shard locks.
+  std::size_t shard_for(SessionId id) const noexcept {
+    return id % shards_.size();
+  }
   /// Feeds the session's buffered symbols inline and removes it from its
   /// shard's ready list. Preconditions: session is resident AND the caller
   /// holds that session's shard mutex.

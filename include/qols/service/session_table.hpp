@@ -15,7 +15,9 @@
 //     kEvict   (2): u64 id, u64 spill_bytes
 //     kRevive  (3): u64 id
 //     kFinish  (4): u64 id
-//     kMigrate (5): u64 id, u64 shard
+//     kMigrate (5): u64 id, u64 shard — read only; written by older
+//                   builds that could migrate a session between shards.
+//                   Replay still validates and applies it.
 //
 // Write-ordering invariant: THE JOURNAL NEVER CLAIMS A SPILL THAT IS NOT
 // DURABLE. evict() writes and syncs the spill file before appending kEvict;
@@ -31,7 +33,7 @@
 // Compaction invariant: compact(live) atomically (tmp + fsync + rename +
 // dir fsync) replaces the journal with the minimal record sequence whose
 // replay equals the live-session view — one kOpen per live session (with its
-// CURRENT shard, folding migrations) plus one kEvict per spilled session.
+// shard, id % shard count) plus one kEvict per spilled session.
 //
 // Recovery (replay) is a pure function of the file. Typed errors:
 //   ManifestMissing — no journal file, or a zero-byte file (a crash before
@@ -104,7 +106,7 @@ class SessionTable {
     kEvict = 2,
     kRevive = 3,
     kFinish = 4,
-    kMigrate = 5,
+    kMigrate = 5,  ///< read only; written by older builds
   };
 
   struct Options {
@@ -159,7 +161,6 @@ class SessionTable {
   void record_evict(std::uint64_t id, std::uint64_t spill_bytes);
   void record_revive(std::uint64_t id);
   void record_finish(std::uint64_t id);
-  void record_migrate(std::uint64_t id, std::uint64_t shard);
 
   /// Forces the journal to disk now.
   void sync();

@@ -11,28 +11,6 @@ using stream::Symbol;
 
 namespace {
 
-// Shared prefix-parsing helper: returns true once '1^k#' has been consumed
-// and fills k. Returns false while still reading; sets *broken on malformed
-// prefixes (A1 rejects those words anyway).
-struct PrefixParser {
-  unsigned k = 0;
-  bool done = false;
-  bool broken = false;
-
-  void feed(Symbol s) {
-    if (done || broken) return;
-    if (s == Symbol::kOne && k < 20) {
-      ++k;
-      return;
-    }
-    if (s == Symbol::kSep && k >= 1) {
-      done = true;
-      return;
-    }
-    broken = true;
-  }
-};
-
 // Shared chunk driver for the recognizers' own body logic (A1/A2 consume the
 // chunk separately, in bulk): per-symbol through the prefix, then the body
 // split into separators (rare, per symbol) and data runs (bulk). All state

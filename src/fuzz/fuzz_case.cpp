@@ -215,17 +215,11 @@ FuzzCase FuzzCase::from_seed(std::uint64_t seed) {
 
   // Crash/recovery axis (P9), half the corpus: feed a durable service to a
   // seeded cut, persist() + die, recover() in a fresh service, finish, and
-  // demand the straight-through verdict. Half the crashing cases also take a
-  // cross-shard migrate() detour before the checkpoint. All four draws are
-  // unconditional so the qf4 seed->field mapping above survives intact.
+  // demand the straight-through verdict. Both draws are unconditional so
+  // the qf4 seed->field mapping above survives intact.
   const std::uint64_t crash_roll = sm.next();
   const std::uint64_t crash_pos = sm.next();
-  const std::uint64_t migrate_roll = sm.next();
-  const std::uint64_t migrate_val = sm.next();
   c.crash_point = crash_roll % 2 == 1 ? crash_pos : kNoCrash;
-  c.migrate_step = c.crash_point != kNoCrash && migrate_roll % 2 == 1
-                       ? migrate_val
-                       : kNoMigrate;
   return c;
 }
 
@@ -339,9 +333,6 @@ std::string describe(const FuzzCase& c) {
   }
   if (c.crash_point != kNoCrash) {
     out += " crashcut=" + std::to_string(c.crash_point);
-    if (c.migrate_step != kNoMigrate) {
-      out += " migrate=" + std::to_string(c.migrate_step);
-    }
   }
   out += " schedule=";
   out += c.schedule == ScheduleKind::kWhole   ? "whole"

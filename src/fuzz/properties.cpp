@@ -615,12 +615,6 @@ void check_crash(const FuzzCase& c,
       if (cut > 0) {
         svc.feed(id, std::span<const Symbol>(word.data(), cut));
       }
-      if (c.migrate_step != kNoMigrate) {
-        // The detour: move the session across shards right before the
-        // checkpoint, so recovery also proves migrated placement persists.
-        svc.migrate(id, static_cast<std::size_t>(
-                            c.migrate_step % svc.shard_count()));
-      }
       if (svc.persist() != 1) fail("persist() did not checkpoint 1 session");
     }  // the crash: the first incarnation dies here
 

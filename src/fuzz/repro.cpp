@@ -8,11 +8,12 @@ namespace qols::fuzz {
 
 namespace {
 
-// qf5 appended the trailing crash_point/migrate_step fields (PR 10's durable
-// crash/recovery axis); qf4 added wire_split (PR 9), qf3 snapshot_cut
-// (PR 7), qf2 float_amplitudes (PR 6). Older tokens are rejected rather
-// than silently defaulted, so a replay always states every axis it checks.
-constexpr std::string_view kVersion = "qf5";
+// qf6 dropped qf5's trailing field, a cross-shard move target (a session's
+// shard is now a function of its id); qf5 appended crash_point (the durable
+// crash/recovery axis), qf4 wire_split, qf3 snapshot_cut, qf2
+// float_amplitudes. Older tokens are rejected rather than silently
+// defaulted, so a replay always states every axis it checks.
+constexpr std::string_view kVersion = "qf6";
 
 void append_hex(std::string& out, std::uint64_t v) {
   char buf[17];
@@ -62,7 +63,6 @@ std::string encode_token(const FuzzCase& c) {
   append_hex(out, c.snapshot_cut);
   append_hex(out, c.wire_split);
   append_hex(out, c.crash_point);
-  append_hex(out, c.migrate_step);
   return out;
 }
 
@@ -151,10 +151,9 @@ FuzzCase decode_token(const std::string& token) {
   // Likewise: reduced mod 8 (submode) and used as a split seed; kNoWire
   // (all ones) means "skip P8".
   c.wire_split = r.next("wire_split");
-  // Likewise: reduced mod (word length + 1) / mod shard count at check time;
-  // kNoCrash / kNoMigrate (all ones) mean "skip P9" / "no migration detour".
+  // Likewise: reduced mod (word length + 1) at check time; kNoCrash (all
+  // ones) means "skip P9".
   c.crash_point = r.next("crash_point");
-  c.migrate_step = r.next("migrate_step");
   if (!r.exhausted()) bad("trailing fields");
   return c;
 }

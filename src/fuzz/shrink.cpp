@@ -80,17 +80,11 @@ ShrinkOutcome shrink(const FuzzCase& failing,
       progressed = try_candidate(candidate) || progressed;
     }
 
-    // Drop the migration detour first (a P9 failure that reproduces without
-    // it is a plain crash/recovery bug), then the whole crash axis.
-    if (out.best.migrate_step != kNoMigrate) {
-      FuzzCase candidate = out.best;
-      candidate.migrate_step = kNoMigrate;
-      progressed = try_candidate(candidate) || progressed;
-    }
+    // Drop the crash axis the same way: a non-P9 failure replays without the
+    // durable checkpoint/recover detour.
     if (out.best.crash_point != kNoCrash) {
       FuzzCase candidate = out.best;
       candidate.crash_point = kNoCrash;
-      candidate.migrate_step = kNoMigrate;
       progressed = try_candidate(candidate) || progressed;
     }
 

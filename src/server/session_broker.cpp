@@ -374,7 +374,6 @@ bool SessionBroker::handle(const wire::Frame& frame,
       svc.set("revives", stats.revives);
       svc.set("spill_bytes_written", stats.spill_bytes_written);
       svc.set("spill_bytes_read", stats.spill_bytes_read);
-      svc.set("migrations", stats.migrations);
       svc.set("recovered_sessions", stats.recovered_sessions);
       auto& conn = doc.set("connection", json::Value::object());
       conn.set("open_sessions",

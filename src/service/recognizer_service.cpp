@@ -195,11 +195,10 @@ RecognizerService::SessionId RecognizerService::open_at(SessionId id,
   // a kOpen record for a session that never existed.
   Session session;
   session.recognizer = config_.spec.make(seed);
-  session.shard = id % shards_.size();
   session.seed = seed;
   if (SessionTable* t = journal()) {
     t->crash_point();
-    t->record_open(id, seed, session.shard);
+    t->record_open(id, seed, shard_for(id));
   }
   sessions_.emplace(id, std::move(session));
   cells_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
@@ -212,12 +211,13 @@ void RecognizerService::feed(SessionId id,
   if (session.evicted) revive_session(id, session);
   bool over_threshold = false;
   {
-    std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
-    Shard& shard = shards_[session.shard];
+    const std::size_t si = shard_for(id);
+    std::lock_guard<std::mutex> lock(shard_mu_[si]);
+    Shard& shard = shards_[si];
     if (session.pending.empty() && !chunk.empty()) shard.ready.push_back(id);
     session.pending.insert(session.pending.end(), chunk.begin(), chunk.end());
     shard.buffered += chunk.size();
-    shard_depth_[session.shard]->set(
+    shard_depth_[si]->set(
         static_cast<std::int64_t>(shard.buffered));
     over_threshold = shard.buffered >= config_.flush_threshold;
   }
@@ -232,7 +232,7 @@ void RecognizerService::feed_borrowed(SessionId id,
   if (session.evicted) revive_session(id, session);
   util::Stopwatch watch;
   {
-    std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
+    std::lock_guard<std::mutex> lock(shard_mu_[shard_for(id)]);
     // Order within the session must hold: anything already buffered goes
     // first, then the borrowed span — which is consumed before returning,
     // so the caller's view (e.g. a MappedFileStream page) may be
@@ -246,12 +246,13 @@ void RecognizerService::feed_borrowed(SessionId id,
 }
 
 void RecognizerService::drain_locked(SessionId id, Session& session) {
-  Shard& shard = shards_[session.shard];
+  const std::size_t si = shard_for(id);
+  Shard& shard = shards_[si];
   shard.buffered -= session.pending.size();
   session.recognizer->feed_chunk(session.pending);
   session.pending.clear();
   std::erase(shard.ready, id);
-  shard_depth_[session.shard]->set(static_cast<std::int64_t>(shard.buffered));
+  shard_depth_[si]->set(static_cast<std::int64_t>(shard.buffered));
 }
 
 void RecognizerService::flush() {
@@ -318,11 +319,12 @@ std::vector<RecognizerService::Verdict> RecognizerService::finish(
     const auto it = sessions_.find(id);
     Session& session = it->second;
     if (!session.pending.empty()) {
-      std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
-      Shard& shard = shards_[session.shard];
+      const std::size_t si = shard_for(id);
+      std::lock_guard<std::mutex> lock(shard_mu_[si]);
+      Shard& shard = shards_[si];
       shard.buffered -= session.pending.size();
       std::erase(shard.ready, id);
-      shard_depth_[session.shard]->set(
+      shard_depth_[si]->set(
           static_cast<std::int64_t>(shard.buffered));
     }
     if (session.pending.size() >= kBatchMinSymbols) ++heavy;
@@ -428,7 +430,7 @@ void RecognizerService::evict(SessionId id) {
   // the journal does not know about.
   SessionTable* t = journal();
   if (t != nullptr) t->crash_point();
-  std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
+  std::lock_guard<std::mutex> lock(shard_mu_[shard_for(id)]);
   // The buffer must reach the recognizer before the state is frozen —
   // snapshotting around unconsumed symbols would replay them out of order.
   if (!session.pending.empty()) drain_locked(id, session);
@@ -451,7 +453,7 @@ void RecognizerService::evict(SessionId id) {
 void RecognizerService::revive_session(SessionId id, Session& session) {
   SessionTable* t = journal();
   if (t != nullptr) t->crash_point();
-  std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
+  std::lock_guard<std::mutex> lock(shard_mu_[shard_for(id)]);
   const std::string path = spill_path(id);
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in.is_open()) {
@@ -491,35 +493,8 @@ void RecognizerService::revive(SessionId id) {
 
 bool RecognizerService::evicted(SessionId id) {
   Session& session = session_or_throw(id);
-  std::lock_guard<std::mutex> lock(shard_mu_[session.shard]);
+  std::lock_guard<std::mutex> lock(shard_mu_[shard_for(id)]);
   return session.evicted;
-}
-
-void RecognizerService::migrate(SessionId id, std::size_t target_shard) {
-  Session& session = session_or_throw(id);
-  if (target_shard >= shards_.size()) {
-    throw std::invalid_argument(
-        "RecognizerService: migrate target shard " +
-        std::to_string(target_shard) + " out of range (" +
-        std::to_string(shards_.size()) + " shards)");
-  }
-  if (target_shard == session.shard) return;  // same-shard move is a no-op
-  // A resident session moves by the evict→revive path: spill on the old
-  // shard, change the pin, restore on the new one. An evicted session only
-  // needs the pin changed — its state is already on disk.
-  const bool was_resident = !session.evicted;
-  if (was_resident) evict(id);
-  if (SessionTable* t = journal()) {
-    t->crash_point();
-    t->record_migrate(id, target_shard);
-  }
-  session.shard = target_shard;
-  if (was_resident) revive_session(id, session);
-  cells_.migrations.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::size_t RecognizerService::shard_of(SessionId id) {
-  return session_or_throw(id).shard;
 }
 
 std::map<RecognizerService::SessionId, SessionTable::LiveSession>
@@ -528,7 +503,7 @@ RecognizerService::live_view() const {
   for (const auto& [id, session] : sessions_) {
     SessionTable::LiveSession entry;
     entry.seed = session.seed;
-    entry.shard = session.shard;
+    entry.shard = shard_for(id);
     entry.evicted = session.evicted;
     entry.spill_bytes = session.spill_bytes;
     live.emplace(id, entry);
@@ -605,8 +580,6 @@ RecognizerService::RecoveryReport RecognizerService::recover() {
       continue;
     }
     Session session;
-    // A restart may resize the pool; fold the recorded pin into range.
-    session.shard = s.shard % shards_.size();
     session.evicted = true;
     session.seed = s.seed;
     session.spill_bytes = s.spill_bytes;
@@ -648,7 +621,6 @@ RecognizerService::Stats RecognizerService::stats() const noexcept {
   s.spill_bytes_written =
       cells_.spill_bytes_written.load(std::memory_order_relaxed);
   s.spill_bytes_read = cells_.spill_bytes_read.load(std::memory_order_relaxed);
-  s.migrations = cells_.migrations.load(std::memory_order_relaxed);
   s.recovered_sessions =
       cells_.recovered_sessions.load(std::memory_order_relaxed);
   return s;
@@ -664,7 +636,6 @@ void RecognizerService::reset_stats() noexcept {
   cells_.revives.store(0, std::memory_order_relaxed);
   cells_.spill_bytes_written.store(0, std::memory_order_relaxed);
   cells_.spill_bytes_read.store(0, std::memory_order_relaxed);
-  cells_.migrations.store(0, std::memory_order_relaxed);
   cells_.recovered_sessions.store(0, std::memory_order_relaxed);
 }
 

@@ -86,15 +86,6 @@ std::vector<std::uint8_t> payload_id_only(SessionTable::RecordType type,
   return w.take();
 }
 
-std::vector<std::uint8_t> payload_migrate(std::uint64_t id,
-                                          std::uint64_t shard) {
-  util::serde::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(SessionTable::RecordType::kMigrate));
-  w.u64(id);
-  w.u64(shard);
-  return w.take();
-}
-
 [[noreturn]] void corrupt(std::uint64_t record, const std::string& why) {
   throw ManifestCorrupt("manifest record " + std::to_string(record) + ": " +
                         why);
@@ -158,6 +149,8 @@ void apply_record(SessionTable::Replay& state,
       return;
     }
     case SessionTable::RecordType::kMigrate: {
+      // Read only: written by older builds, which could move a session
+      // between shards. Still validated, so their manifests recover.
       const std::uint64_t id = r.u64();
       const std::uint64_t shard = r.u64();
       r.expect_exhausted();
@@ -256,10 +249,6 @@ void SessionTable::record_revive(std::uint64_t id) {
 
 void SessionTable::record_finish(std::uint64_t id) {
   append(RecordType::kFinish, payload_id_only(RecordType::kFinish, id));
-}
-
-void SessionTable::record_migrate(std::uint64_t id, std::uint64_t shard) {
-  append(RecordType::kMigrate, payload_migrate(id, shard));
 }
 
 void SessionTable::sync() {

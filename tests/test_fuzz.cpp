@@ -49,7 +49,6 @@ TEST(FuzzCaseGen, DistributionCoversEveryFamilyAndRecognizer) {
   std::set<bool> snapshot_axis;
   std::set<bool> wire_axis;
   std::set<bool> crash_axis;
-  std::set<bool> migrate_axis;
   bool saw_wrappers = false;
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
     const FuzzCase c = FuzzCase::from_seed(seed);
@@ -60,13 +59,6 @@ TEST(FuzzCaseGen, DistributionCoversEveryFamilyAndRecognizer) {
     snapshot_axis.insert(c.snapshot_cut != kNoSnapshot);
     wire_axis.insert(c.wire_split != kNoWire);
     crash_axis.insert(c.crash_point != kNoCrash);
-    if (c.crash_point != kNoCrash) {
-      migrate_axis.insert(c.migrate_step != kNoMigrate);
-    } else {
-      // The migration detour rides the crash axis: without a crash there is
-      // nothing for a migrated placement to survive.
-      EXPECT_EQ(c.migrate_step, kNoMigrate);
-    }
     saw_wrappers = saw_wrappers || !c.wrappers.empty();
     EXPECT_GE(c.sessions, 1u);
     EXPECT_LE(c.sessions, kMaxSessions);
@@ -86,7 +78,6 @@ TEST(FuzzCaseGen, DistributionCoversEveryFamilyAndRecognizer) {
   EXPECT_EQ(snapshot_axis.size(), 2u);  // P7 drawn on roughly half the corpus
   EXPECT_EQ(wire_axis.size(), 2u);  // P8 drawn on roughly half the corpus
   EXPECT_EQ(crash_axis.size(), 2u);  // P9 drawn on roughly half the corpus
-  EXPECT_EQ(migrate_axis.size(), 2u);  // half the crash cases migrate first
   EXPECT_TRUE(saw_wrappers);
 }
 
@@ -138,24 +129,28 @@ TEST(ReproToken, RejectsMalformedTokens) {
            // qf4 (pre-crash) likewise: replays must state the crash axis.
            "qf4-29ac8-1-3-14-0-ffffffffffffffff-0-0-1-4-10-40-2-0-"
            "ffffffffffffffff-ffffffffffffffff",
-           "qf6-1-2",                // unknown future version
-           "qf5",                    // no fields at all
-           "qf5-zz-1",               // non-hex field
-           "qf5-1-2-3",              // far too few fields
-           "qf5-1--2",               // empty field
+           // qf5 (with the retired migration field) likewise, even in full.
+           "qf5-29ac8-1-3-14-0-ffffffffffffffff-0-0-1-4-10-40-2-0-"
+           "ffffffffffffffff-ffffffffffffffff-ffffffffffffffff-"
+           "ffffffffffffffff",
+           "qf7-1-2",                // unknown future version
+           "qf6",                    // no fields at all
+           "qf6-zz-1",               // non-hex field
+           "qf6-1-2-3",              // far too few fields
+           "qf6-1--2",               // empty field
            // k = 0
-           "qf5-1-0-0-0-0-ffffffffffffffff-0-1-1-0-10-40-2-0-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
+           "qf6-1-0-0-0-0-ffffffffffffffff-0-1-1-0-10-40-2-0-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
            // k past the generator max
-           "qf5-1-5-0-0-0-ffffffffffffffff-0-1-1-0-10-40-2-0-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
+           "qf6-1-5-0-0-0-ffffffffffffffff-0-1-1-0-10-40-2-0-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
            // bad word kind
-           "qf5-1-2-9-0-0-ffffffffffffffff-0-1-1-0-10-40-2-0-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
+           "qf6-1-2-9-0-0-ffffffffffffffff-0-1-1-0-10-40-2-0-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
            // float_amplitudes must be 0 or 1
-           "qf5-1-2-0-0-0-ffffffffffffffff-0-1-1-4-10-40-2-2-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
+           "qf6-1-2-0-0-0-ffffffffffffffff-0-1-1-4-10-40-2-2-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
            // DoS bounds: a gigabyte malformed word, a terabyte sampler, a
            // gigabit Bloom filter — all rejected at decode, never realized.
-           "qf5-1-1-3-77359400-0-ffffffffffffffff-0-0-1-0-10-40-2-0-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
-           "qf5-1-2-0-0-0-ffffffffffffffff-0-1-1-2-10000000000-40-2-0-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
-           "qf5-1-2-0-0-0-ffffffffffffffff-0-1-1-3-10-40000000-2-0-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
+           "qf6-1-1-3-77359400-0-ffffffffffffffff-0-0-1-0-10-40-2-0-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
+           "qf6-1-2-0-0-0-ffffffffffffffff-0-1-1-2-10000000000-40-2-0-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
+           "qf6-1-2-0-0-0-ffffffffffffffff-0-1-1-3-10-40000000-2-0-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff",
        }) {
     EXPECT_THROW(decode_token(bad), std::invalid_argument) << "'" << bad << "'";
   }
@@ -238,8 +233,8 @@ TEST(Properties, BackendCeilingGapIsNotADiscrepancy) {
   // be reported as a false P4-backend-equality discrepancy; both machines
   // reject the word, so the case must be clean.
   const FuzzCase c = decode_token(
-      "qf5-29ac8-1-3-14-0-ffffffffffffffff-0-0-1-4-10-40-2-0-"
-      "ffffffffffffffff-ffffffffffffffff-ffffffffffffffff-ffffffffffffffff");
+      "qf6-29ac8-1-3-14-0-ffffffffffffffff-0-0-1-4-10-40-2-0-"
+      "ffffffffffffffff-ffffffffffffffff-ffffffffffffffff");
   std::size_t ones = 0;
   const auto word = realize_word(c);
   while (ones < word.size() && word[ones] == Symbol::kOne) ++ones;
@@ -366,7 +361,7 @@ TEST(Fuzzer, ForcedCrashSoakIsClean) {
   // to its seeded cut, persist()s, dies, recover()s and finishes (P9) — not
   // just the generator's ~50% draw. A clean report certifies the interrupted
   // run's verdicts are bit-identical to straight-through runs across the
-  // corpus, migration detours included.
+  // corpus.
   FuzzOptions opts;
   opts.seed = 23;
   opts.max_cases = 150;

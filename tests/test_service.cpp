@@ -552,56 +552,13 @@ TEST(RecognizerService, StatsSnapshotsAndResetRaceFreeWithFeeds) {
   EXPECT_LE(observed, 50 * word.size());
 }
 
-TEST(RecognizerService, MigrateEdgeCasesAndCounters) {
-  qols::util::ThreadPool pool(4);
-  RecognizerService::Config cfg;
-  cfg.spec.kind = RecognizerKind::kClassicalBlock;
-  cfg.pool = &pool;
-  RecognizerService svc(cfg);
-  qols::util::Rng rng(81);
-  const auto word = word_of(LDisjInstance::make_disjoint(1, rng));
-
-  const auto id = svc.open(5);  // id 1 -> shard 1 of 4
-  svc.feed(id, word);
-  EXPECT_THROW(svc.migrate(999, 0), std::out_of_range);
-  EXPECT_THROW(svc.migrate(id, 4), std::invalid_argument);  // shard range
-
-  svc.migrate(id, 1);  // same-shard move: a no-op, counters untouched
-  EXPECT_EQ(svc.stats().migrations, 0u);
-  EXPECT_EQ(svc.stats().evictions, 0u);
-
-  svc.migrate(id, 3);  // resident: moves by the evict->revive path
-  EXPECT_EQ(svc.shard_of(id), 3u);
-  EXPECT_FALSE(svc.evicted(id));
-  EXPECT_EQ(svc.stats().migrations, 1u);
-  EXPECT_EQ(svc.stats().evictions, 1u);
-  EXPECT_EQ(svc.stats().revives, 1u);
-
-  svc.evict(id);
-  svc.migrate(id, 0);  // evicted: a pure pin change, no spill round-trip
-  EXPECT_EQ(svc.shard_of(id), 0u);
-  EXPECT_TRUE(svc.evicted(id));
-  EXPECT_EQ(svc.stats().migrations, 2u);
-  EXPECT_EQ(svc.stats().evictions, 2u);
-  EXPECT_EQ(svc.stats().revives, 1u);
-
-  // The moves must not have cost a single symbol: the verdict still matches
-  // a plain run.
-  RecognizerSpec spec;
-  spec.kind = RecognizerKind::kClassicalBlock;
-  auto reference = spec.make(5);
-  reference->feed_chunk(word);
-  EXPECT_EQ(svc.finish(id).accepted, reference->finish());
-  EXPECT_THROW(svc.migrate(id, 2), std::out_of_range);  // finished id
-}
-
-TEST(RecognizerService, MigrationVerdictsExactAcrossPoolSizes) {
+TEST(RecognizerService, VerdictsExactAcrossPoolSizes) {
   qols::util::Rng rng(82);
   const auto inst = LDisjInstance::make_with_intersections(2, 1, rng);
   const auto word = word_of(inst);
   const std::size_t num_sessions = 5;
 
-  const auto serve = [&](std::size_t pool_threads, bool migrate_every_lap) {
+  const auto serve = [&](std::size_t pool_threads) {
     qols::util::ThreadPool pool(pool_threads);
     RecognizerService::Config cfg;
     cfg.spec.kind = RecognizerKind::kQuantum;
@@ -623,9 +580,6 @@ TEST(RecognizerService, MigrationVerdictsExactAcrossPoolSizes) {
                  std::span<const Symbol>(word.data() + cursors[s], n));
         cursors[s] += n;
         progressed = true;
-        if (migrate_every_lap && pool_threads > 1) {
-          svc.migrate(ids[s], (svc.shard_of(ids[s]) + 1) % pool_threads);
-        }
       }
     }
     std::vector<bool> verdicts;
@@ -633,9 +587,9 @@ TEST(RecognizerService, MigrationVerdictsExactAcrossPoolSizes) {
     return verdicts;
   };
 
-  const auto reference = serve(1, false);
-  EXPECT_EQ(serve(2, true), reference);
-  EXPECT_EQ(serve(4, true), reference);
+  const auto reference = serve(1);
+  EXPECT_EQ(serve(2), reference);
+  EXPECT_EQ(serve(4), reference);
 }
 
 TEST(RecognizerService, RecoveredSessionsCounterExactAcrossPoolSizes) {
@@ -654,8 +608,8 @@ TEST(RecognizerService, RecoveredSessionsCounterExactAcrossPoolSizes) {
     reference.push_back(rec->finish());
   }
 
-  // Persist under a 4-shard pool, recover under 1, 2, and 4: the manifest's
-  // shard pins fold into whatever pool the restarted process has, and the
+  // Persist under a 4-shard pool, recover under 1, 2, and 4: a session's
+  // shard is its id modulo whatever pool the restarted process has, and the
   // recovered_sessions counter is exact every time.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
@@ -690,7 +644,6 @@ TEST(RecognizerService, RecoveredSessionsCounterExactAcrossPoolSizes) {
     EXPECT_EQ(svc.stats().recovered_sessions, num_sessions) << threads;
     EXPECT_TRUE(report.lost.empty());
     for (std::size_t s = 0; s < num_sessions; ++s) {
-      EXPECT_LT(svc.shard_of(ids[s]), threads);  // folded into this pool
       EXPECT_EQ(svc.finish(ids[s]).accepted, reference[s]) << threads;
     }
     fs::remove_all(dir);

@@ -32,7 +32,9 @@
 #include "qols/service/recognizer_service.hpp"
 #include "qols/service/session_table.hpp"
 #include "qols/stream/symbol_stream.hpp"
+#include "qols/util/crc32.hpp"
 #include "qols/util/rng.hpp"
+#include "qols/util/serde.hpp"
 #include "qols/util/thread_pool.hpp"
 
 namespace {
@@ -78,6 +80,28 @@ RecognizerService::Config durable_config(const fs::path& dir,
   return cfg;
 }
 
+/// Appends a kMigrate record to the journal in `dir`, framed by hand as
+/// u32 len | u32 crc32 | payload (little-endian). The service no longer
+/// writes this record type, but older builds did, and replay must still
+/// accept their manifests.
+void append_migrate_record(const fs::path& dir, std::uint64_t id,
+                           std::uint64_t shard) {
+  qols::util::serde::ByteWriter payload;
+  payload.u8(static_cast<std::uint8_t>(SessionTable::RecordType::kMigrate));
+  payload.u64(id);
+  payload.u64(shard);
+  qols::util::serde::ByteWriter framed;
+  framed.u32(static_cast<std::uint32_t>(payload.size()));
+  framed.u32(qols::util::crc32(payload.bytes()));
+  std::ofstream out(SessionTable::path_in(dir.string()),
+                    std::ios::binary | std::ios::app);
+  for (const auto* bytes : {&framed.bytes(), &payload.bytes()}) {
+    out.write(reinterpret_cast<const char*>(bytes->data()),
+              static_cast<std::streamsize>(bytes->size()));
+  }
+  ASSERT_TRUE(out.good());
+}
+
 void expect_verdict_eq(const RecognizerService::Verdict& got,
                        const RecognizerService::Verdict& want,
                        const std::string& what) {
@@ -96,15 +120,13 @@ enum class OpKind : std::uint8_t {
   kFeed,     ///< feed the next `count` symbols of the slot's word
   kEvict,    ///< spill the slot
   kFinish,   ///< finish the slot (collect its verdict)
-  kMigrate,  ///< move the slot to shard `target`
   kPersist,  ///< checkpoint: evict every resident session + compact
 };
 
 struct Op {
   OpKind kind;
   std::size_t slot = 0;
-  std::size_t count = 0;   // kFeed
-  std::size_t target = 0;  // kMigrate
+  std::size_t count = 0;  // kFeed
 };
 
 /// What the simulator knows about one scripted session.
@@ -112,7 +134,6 @@ struct SimSession {
   bool open = false;
   bool evicted = false;
   std::size_t fed = 0;  ///< symbols consumed; == spill content when evicted
-  std::size_t shard = 0;
 };
 
 struct SimResult {
@@ -122,10 +143,10 @@ struct SimResult {
 
 /// Mirrors the service's crash-point ordering exactly: every journaled
 /// operation fires crash_point() BEFORE any side effect, and compound
-/// operations (finish-of-evicted = revive + finish, resident migrate =
-/// evict + migrate + revive, persist = evicts + compact) fire one per leg.
+/// operations (finish-of-evicted = revive + finish, persist = evicts +
+/// compact) fire one per leg.
 SimResult simulate(const std::vector<Op>& ops, std::size_t slot_count,
-                   std::size_t shard_count, std::uint64_t budget) {
+                   std::uint64_t budget) {
   SimResult r;
   r.slots.resize(slot_count);
   std::uint64_t remaining = budget;
@@ -144,7 +165,6 @@ SimResult simulate(const std::vector<Op>& ops, std::size_t slot_count,
           return r;
         }
         s.open = true;
-        s.shard = (op.slot + 1) % shard_count;  // service ids start at 1
         break;
       case OpKind::kFeed:
         if (s.evicted) {
@@ -179,30 +199,6 @@ SimResult simulate(const std::vector<Op>& ops, std::size_t slot_count,
         }
         s.open = false;
         break;
-      case OpKind::kMigrate: {
-        if (op.target == s.shard) break;
-        const bool was_resident = !s.evicted;
-        if (was_resident) {
-          if (cp()) {
-            r.crashed = true;
-            return r;
-          }
-          s.evicted = true;
-        }
-        if (cp()) {
-          r.crashed = true;
-          return r;
-        }
-        s.shard = op.target;
-        if (was_resident) {
-          if (cp()) {
-            r.crashed = true;
-            return r;
-          }
-          s.evicted = false;
-        }
-        break;
-      }
       case OpKind::kPersist:
         // persist() evicts residents in id order == slot order here.
         for (SimSession& t : r.slots) {
@@ -253,9 +249,6 @@ bool run_script(RecognizerService& svc, const std::vector<Op>& ops,
         case OpKind::kFinish:
           verdicts.emplace(op.slot, svc.finish(ids[op.slot]));
           break;
-        case OpKind::kMigrate:
-          svc.migrate(ids[op.slot], op.target);
-          break;
         case OpKind::kPersist:
           svc.persist();
           break;
@@ -292,7 +285,7 @@ TEST(SessionRecovery, KillPointMatrixRecoversExactVerdicts) {
     reference.push_back(svc.finish(id));
   }
 
-  // The script: every record type, both finish paths, both migrate paths,
+  // The script: every record type the service writes, both finish paths,
   // revive-by-feed, and a closing persist(). Slot ids are 1, 2, 3 on shards
   // 1, 2, 3 (id % 4).
   const std::size_t cut0 = slot_words[0].size() / 2;
@@ -306,10 +299,8 @@ TEST(SessionRecovery, KillPointMatrixRecoversExactVerdicts) {
       {OpKind::kFeed, 0, slot_words[0].size() - cut0},  // revive + feed
       {OpKind::kFeed, 1, slot_words[1].size()},
       {OpKind::kEvict, 1},
-      {OpKind::kMigrate, 1, 0, 0},   // evicted migrate: pin change only
-      {OpKind::kFinish, 1},          // finish-of-evicted: revive + finish
+      {OpKind::kFinish, 1},  // finish-of-evicted: revive + finish
       {OpKind::kFeed, 2, cut2},
-      {OpKind::kMigrate, 2, 0, 0},   // resident migrate: evict+migrate+revive
       {OpKind::kFeed, 2, slot_words[2].size() - cut2},
       {OpKind::kPersist, 0},
   };
@@ -318,7 +309,7 @@ TEST(SessionRecovery, KillPointMatrixRecoversExactVerdicts) {
   std::uint64_t n = 0;
   for (; !completed && n < 64; ++n) {
     const auto dir = unique_dir("matrix");
-    const SimResult sim = simulate(ops, kSlots, kShards, n);
+    const SimResult sim = simulate(ops, kSlots, n);
     std::map<std::size_t, RecognizerService::Verdict> verdicts;
     {
       RecognizerService svc(durable_config(dir, &pool));
@@ -364,7 +355,7 @@ TEST(SessionRecovery, KillPointMatrixRecoversExactVerdicts) {
       ASSERT_NE(it, replayed.live.end()) << "budget " << n;
       EXPECT_TRUE(it->second.evicted);
       EXPECT_EQ(it->second.seed, slot_seeds[id - 1]);
-      EXPECT_EQ(it->second.shard, sim.slots[id - 1].shard);
+      EXPECT_EQ(it->second.shard, id % kShards);
     }
 
     // Resume every recovered session: feed its unfed suffix, finish, and
@@ -495,6 +486,16 @@ TEST(SessionTableErrors, StateMachineViolationsAreCorrupt) {
     EXPECT_THROW(SessionTable::replay(dir.string()), ManifestCorrupt);
     fs::remove_all(dir);
   }
+  {  // kMigrate (older builds) of an unknown id
+    const auto dir = unique_dir("sm-migrate");
+    {
+      SessionTable table({dir.string(), 0});
+      table.record_open(1, 1, 1);
+    }
+    append_migrate_record(dir, 6, 0);
+    EXPECT_THROW(SessionTable::replay(dir.string()), ManifestCorrupt);
+    fs::remove_all(dir);
+  }
 }
 
 TEST(SessionTable, ReplayRoundTripsEveryRecordType) {
@@ -507,9 +508,9 @@ TEST(SessionTable, ReplayRoundTripsEveryRecordType) {
     table.record_evict(1, 100);
     table.record_revive(1);
     table.record_evict(2, 200);
-    table.record_migrate(2, 0);
+    append_migrate_record(dir, 2, 0);  // O_APPEND: lands after the evict
     table.record_finish(3);
-    EXPECT_EQ(table.records_appended(), 8u);
+    EXPECT_EQ(table.records_appended(), 7u);  // the handle wrote 7 of 8
   }
   const auto r = SessionTable::replay(dir.string());
   EXPECT_EQ(r.records, 8u);
@@ -519,7 +520,7 @@ TEST(SessionTable, ReplayRoundTripsEveryRecordType) {
   EXPECT_EQ(r.live.at(1).shard, 1u);
   EXPECT_TRUE(r.live.at(2).evicted);
   EXPECT_EQ(r.live.at(2).spill_bytes, 200u);
-  EXPECT_EQ(r.live.at(2).shard, 0u);  // the migrate moved it
+  EXPECT_EQ(r.live.at(2).shard, 0u);  // the kMigrate moved it
   fs::remove_all(dir);
 }
 
@@ -536,7 +537,7 @@ TEST(SessionTable, CompactionReplacesTheJournalWithTheMinimalEquivalent) {
     table.record_evict(1, 55);
     table.record_revive(1);
     table.record_finish(1);
-    table.record_migrate(4, 1);
+    append_migrate_record(dir, 4, 1);
     table.record_open(9, 90, 2);
     table.record_evict(9, 123);
     table.compact(live);
@@ -698,26 +699,51 @@ TEST(SessionRecoveryErrors, DurableModeRequiresASpillDir) {
   EXPECT_THROW(RecognizerService svc(cfg), std::invalid_argument);
 }
 
-TEST(SessionRecovery, MigrationSurvivesRestart) {
-  qols::util::ThreadPool pool(4);
-  const auto dir = unique_dir("migrate");
+TEST(SessionRecovery, ManifestWithAMigrateRecordRecovers) {
+  // A directory written by an older build whose journal moved the session
+  // off its id's shard: replay still applies the kMigrate, recover() places
+  // the session by its id, and the word finishes with the straight-through
+  // verdict.
+  constexpr std::size_t kShards = 4;
+  qols::util::ThreadPool pool(kShards);
+  const auto dir = unique_dir("legacy-migrate");
   qols::util::Rng rng(7);
-  const auto word = word_of(LDisjInstance::make_disjoint(1, rng));
+  const auto word =
+      word_of(LDisjInstance::make_with_intersections(1, 1, rng));
+  const std::size_t cut = word.size() / 2;
+
+  RecognizerService::Verdict reference;
+  {
+    RecognizerService::Config cfg;
+    cfg.spec.kind = RecognizerKind::kClassicalBlock;
+    cfg.pool = &pool;
+    RecognizerService svc(cfg);
+    const auto id = svc.open(21);
+    svc.feed(id, word);
+    reference = svc.finish(id);
+  }
+
   std::uint64_t id = 0;
   {
     RecognizerService svc(durable_config(dir, &pool));
     id = svc.open(21);
-    svc.feed(id, word);
-    ASSERT_NE(svc.shard_of(id), 3u);
-    svc.migrate(id, 3);
-    EXPECT_EQ(svc.shard_of(id), 3u);
-    svc.persist();
+    svc.feed(id, std::span<const Symbol>(word.data(), cut));
+    ASSERT_EQ(svc.persist(), 1u);
   }
+  append_migrate_record(dir, id, (id + 1) % kShards);
+  const auto before = SessionTable::replay(dir.string());
+  ASSERT_EQ(before.live.size(), 1u);
+  EXPECT_EQ(before.live.at(id).shard, (id + 1) % kShards);
+
   RecognizerService svc(durable_config(dir, &pool));
-  svc.recover();
-  EXPECT_EQ(svc.shard_of(id), 3u);  // the migrate is journaled, not ephemeral
-  const auto v = svc.finish(id);
-  EXPECT_TRUE(v.accepted);
+  const auto report = svc.recover();
+  EXPECT_EQ(report.sessions_recovered, 1u);
+  EXPECT_TRUE(report.lost.empty());
+  // Recovery compacts to the derived shard: the old pin is gone.
+  EXPECT_EQ(SessionTable::replay(dir.string()).live.at(id).shard,
+            id % kShards);
+  svc.feed(id, std::span<const Symbol>(word.data() + cut, word.size() - cut));
+  expect_verdict_eq(svc.finish(id), reference, "legacy kMigrate manifest");
   fs::remove_all(dir);
 }
 
