@@ -1,7 +1,7 @@
 // E22 — state-vector kernel throughput: the scalar-double / simd-double /
 // simd-float matrix over the hot A3 kernels (H-range, the Grover diffusion
-// composite, and the index gates per input bit and per run of bits) at the
-// dense wall.
+// in its H form and as the mean reflection the dense backend applies, and
+// the index gates per input bit and per run of bits) at the dense wall.
 //
 // The dense backend stores amplitudes as split re[]/im[] arrays and runs
 // the hot kernels as blocked contiguous runs with runtime ISA dispatch
@@ -19,7 +19,13 @@
 //
 // Metric: amplitude-pair updates per second (one H on one qubit of a dim-D
 // register performs D/2 pair updates; a diffusion performs two H-ranges plus
-// a reflect-zero streaming pass). Each row also reports the rate of A3's
+// a reflect-zero streaming pass). The diffusion row times the H form
+// H^{x2k} S_0 H^{x2k} kernel by kernel, as gate-level circuits spell it
+// out. The dense backend applies the same operator as a sector mean
+// reflection (apply_mean_reflection: one summing pass, one writing pass);
+// its rate, mean_reflection_pairs_per_sec, is credited with the H form's
+// pair count, so it reads directly against diffusion_pairs_per_sec as the
+// same operator's throughput. Each row also reports the rate of A3's
 // per-1-bit index gates (V_x, W_y, R_y as x/z/cx-on-index over the full
 // index register) on its register: each touches O(1) amplitudes, so this is
 // the per-bit cost of the streaming simulation, not a bandwidth figure. It
@@ -46,9 +52,9 @@
 // within 0.1 of the 2x bound in some runs.
 //
 // Correctness is not sacrificed for the rows: each row checks its register
-// norm after the timed passes (H-range is self-inverse; the diffusion and
-// the index gates are unitary), so a kernel that went fast by being wrong
-// fails the row.
+// norm after the timed passes (H-range is self-inverse; both diffusion forms
+// and the index gates are unitary), so a kernel that went fast by being
+// wrong fails the row.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -70,7 +76,14 @@
 namespace qols::bench {
 namespace {
 
-enum Kernel { kHRange, kDiffusion, kIndexGates, kIndexRuns, kKernels };
+enum Kernel {
+  kHRange,
+  kDiffusion,
+  kIndexGates,
+  kIndexRuns,
+  kMeanReflection,
+  kKernels
+};
 
 /// One configuration under test: a register of its own, and a timed pass
 /// of any kernel on it in the row's SIMD mode.
@@ -114,11 +127,14 @@ Row make_row(const std::string& label, quantum::SimdMode mode, unsigned k,
           sv->apply_cx_on_index(0, range, i, range, range + 1);
         }
         break;
-      default:
+      case kIndexRuns:
         // The same three oracles, each as one run over a whole block.
         sv->apply_x_on_index_run(range, 0, ones, range);
         sv->apply_z_on_index_run(range, 0, ones, range);
         sv->apply_cx_on_index_run(range, 0, ones, range, range + 1);
+        break;
+      default:
+        sv->apply_mean_reflection(0, range);
         break;
     }
     return std::max(watch.seconds(), 1e-9);
@@ -139,7 +155,8 @@ int run(Reporter& rep, const RunConfig& cfg) {
   const unsigned range = 2 * k;
   const double dim = static_cast<double>(std::uint64_t{1} << (range + 2));
   // Work per pass, per kernel. Diffusion = H-range, reflect-zero (one
-  // streaming negate pass + a cheap strided fixup), H-range.
+  // streaming negate pass + a cheap strided fixup), H-range; the mean
+  // reflection is the same operator and is credited with the same work.
   const double hrange_pairs = static_cast<double>(range) * dim / 2.0;
   util::Rng rng(22);
   std::vector<std::uint64_t> indices(std::size_t{1} << 14);
@@ -149,7 +166,7 @@ int run(Reporter& rep, const RunConfig& cfg) {
   const std::array<double, kKernels> work = {
       hrange_pairs, 2.0 * hrange_pairs + dim,
       3.0 * static_cast<double>(indices.size()),
-      3.0 * static_cast<double>(ones.size())};
+      3.0 * static_cast<double>(ones.size()), 2.0 * hrange_pairs + dim};
 
   const quantum::SimdMode saved = quantum::requested_simd_mode();
   enum { kScalarDouble, kSimdDouble, kSimdFloat, kRows };
@@ -190,8 +207,9 @@ int run(Reporter& rep, const RunConfig& cfg) {
       1024.0 * gate_passes * static_cast<double>(2.0 * k) * 0x1p-24;
 
   util::Table table({"row", "precision", "isa", "h_range pairs/s",
-                     "diffusion pairs/s", "index gates/s",
-                     "index-run symbols/s", "|norm-1|", "ok?"});
+                     "diffusion pairs/s", "mean-reflection pairs/s",
+                     "index gates/s", "index-run symbols/s", "|norm-1|",
+                     "ok?"});
   bool norms_ok = true;
   const Spread h_speedup = spread_of(speedups[kHRange]);
   const Spread d_speedup = spread_of(speedups[kDiffusion]);
@@ -209,6 +227,8 @@ int run(Reporter& rep, const RunConfig& cfg) {
                    at == kScalarDouble ? "scalar" : (avx2 ? "avx2" : "scalar"),
                    util::fmt_g(static_cast<std::uint64_t>(rate[kHRange])),
                    util::fmt_g(static_cast<std::uint64_t>(rate[kDiffusion])),
+                   util::fmt_g(
+                       static_cast<std::uint64_t>(rate[kMeanReflection])),
                    util::fmt_g(static_cast<std::uint64_t>(rate[kIndexGates])),
                    util::fmt_g(static_cast<std::uint64_t>(rate[kIndexRuns])),
                    util::fmt_f(drift, 9), ok ? "yes" : "NO"});
@@ -219,6 +239,8 @@ int run(Reporter& rep, const RunConfig& cfg) {
     m.trials = static_cast<std::uint64_t>(rounds);
     m.extra.emplace_back("hrange_pairs_per_sec", rate[kHRange]);
     m.extra.emplace_back("diffusion_pairs_per_sec", rate[kDiffusion]);
+    m.extra.emplace_back("mean_reflection_pairs_per_sec",
+                         rate[kMeanReflection]);
     m.extra.emplace_back("index_gates_per_sec", rate[kIndexGates]);
     m.extra.emplace_back("index_run_symbols_per_sec", rate[kIndexRuns]);
     m.extra.emplace_back("norm_drift", drift);

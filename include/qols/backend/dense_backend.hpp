@@ -12,11 +12,12 @@
 // why dense_state() — the double-reference escape hatch — returns nullptr
 // for the float instantiation.
 //
-// Cost model: one-qubit gates and the diffusion are O(2^n); the A3 fast
-// paths are O(2^{n - index width}) per bit, and a run of bits is one masked
-// sequential pass of 2^{n - index width} contiguous ranges; memory is 16 bytes * 2^n for double and
-// 8 bytes * 2^n for float, which caps the feasible A3 depth at k ~ 10-14
-// (2k+2 <= 30 qubits).
+// Cost model: one-qubit gates are O(2^n), and the diffusion is two streaming
+// O(2^n) passes (a sector mean reflection); the A3 fast paths are
+// O(2^{n - index width}) per bit, and a run of bits is one masked sequential
+// pass of 2^{n - index width} contiguous ranges; memory is 16 bytes * 2^n
+// for double and 8 bytes * 2^n for float, which caps the feasible A3 depth
+// at k ~ 10-14 (2k+2 <= 30 qubits).
 
 #include <cstdint>
 #include <span>
@@ -67,11 +68,15 @@ class DenseBackendT final : public QuantumBackend {
     static telemetry::SpanSite site =
         telemetry::SpanSite::resolve("quantum.diffusion");
     telemetry::TraceSpan span(site);
-    // U_k S_k U_k expanded exactly as GroverStreamer historically applied
-    // it, so dense results stay bit-identical to the pre-backend code.
-    state_.apply_h_range(first, count);
-    state_.apply_reflect_zero(first, count);
-    state_.apply_h_range(first, count);
+    if (first != 0) {
+      throw UnsupportedOperation(
+          "Grover diffusion on a sub-range of the index register");
+    }
+    // U_k S_k U_k as the sector mean reflection amp -> 2 * mean - amp, the
+    // algorithm StructuredBackend uses: two passes instead of two H ladders
+    // around a reflect-zero. It agrees with the H form to rounding, not bit
+    // for bit; gate-level circuits still spell the diffusion out in H gates.
+    state_.apply_mean_reflection(first, count);
   }
   void apply_phase_flip_set(std::span<const std::uint64_t> marked) override {
     state_.apply_phase_flip_set(marked);

@@ -15,13 +15,15 @@
 // The operation set is exactly what A3 needs: the index-register preparation
 // H^{x2k}, the per-symbol V_x/W_y/R_y fast paths and their per-run form
 // (one call per run of streamed data bits), the U_k S_k U_k Grover
-// diffusion (a single composite call so structured backends can apply
-// 2|u><u| - I directly), pattern-controlled gates, last-qubit measurement
-// and an amplitude/probability probe for differential testing.
+// diffusion (a single composite call so both backends can apply
+// 2|u><u| - I directly, as a mean reflection), pattern-controlled gates,
+// last-qubit measurement and an amplitude/probability probe for
+// differential testing.
 //
 // A backend that cannot represent the result of an operation throws
 // UnsupportedOperation instead of silently computing the wrong state; the
-// dense backend supports everything.
+// dense backend supports everything except a Grover diffusion on an index
+// register that does not start at qubit 0.
 
 #include <complex>
 #include <cstddef>
@@ -42,8 +44,8 @@ using quantum::ControlTerm;
 
 /// Thrown when a backend is asked for an operation outside its representable
 /// set (e.g. a Hadamard on one index-register qubit of the structured
-/// backend). Indicates a driver bug or a backend/workload mismatch — never
-/// thrown by DenseBackend.
+/// backend). Indicates a caller bug or a backend/workload mismatch —
+/// DenseBackend throws it only for a diffusion with first != 0.
 class UnsupportedOperation : public std::logic_error {
  public:
   explicit UnsupportedOperation(const std::string& what)
@@ -101,9 +103,11 @@ class QuantumBackend {
   virtual void apply_reflect_zero(unsigned first, unsigned count) = 0;
 
   /// The full Grover diffusion U_k S_k U_k = 2|u><u| - I on
-  /// [first, first+count), exposed as one composite so symmetry-aware
-  /// backends can apply it in O(#classes) without implementing a general
-  /// mid-state Hadamard transform.
+  /// [first, first+count), exposed as one composite so backends apply it as
+  /// a reflection about each sector's mean (structured: O(#classes); dense:
+  /// two streaming passes) without a general mid-state Hadamard transform.
+  /// Both backends require first == 0 and throw UnsupportedOperation
+  /// otherwise.
   virtual void apply_grover_diffusion(unsigned first, unsigned count) = 0;
 
   /// Diagonal +-1 oracle given by its marked set: negates the amplitude of

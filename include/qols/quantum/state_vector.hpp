@@ -10,14 +10,14 @@
 // contiguous `re[]` and one contiguous `im[]` buffer — so gate kernels are
 // straight-line loops over disjoint scalar arrays with no interleaved
 // real/imag access pattern. The hot kernels (H, X, Z, phase, reflect-zero,
-// MCZ, probability/measure) run as blocked contiguous-run loops. Each has
-// one source, a scalar template, built twice: at the baseline ISA, and as an
-// AVX2 clone (target("avx2"), vectorized by the compiler) that runtime
-// dispatch selects (see SimdMode below). Only the fused radix-4 H butterfly
-// keeps hand-written AVX2 intrinsics. The two builds are bit-identical,
-// probability reductions included. Kernels are data-parallel over the
-// project ThreadPool with a grain
-// chosen so registers below ~2^14 amplitudes run serially. Every
+// the diffusion's mean reflection, MCZ, probability/measure) run as blocked
+// contiguous-run loops. Each has one source, a scalar template, built twice:
+// at the baseline ISA, and as an AVX2 clone (target("avx2"), vectorized by
+// the compiler) that runtime dispatch selects (see SimdMode below). Only the
+// fused radix-4 H butterfly keeps hand-written AVX2 intrinsics. The two
+// builds are bit-identical, probability and mean reductions included.
+// Kernels are data-parallel over the project ThreadPool with a grain chosen
+// so registers below ~2^14 amplitudes run serially. Every
 // pattern-controlled gate (CNOT, CZ, MCX, MCZ and the streaming oracles of
 // procedure A3: V_x, W_y, R_y driven by single input bits) enumerates only
 // its matching amplitudes; A3's oracles fix the whole index register, so
@@ -213,6 +213,17 @@ class StateVectorT {
   /// The paper's S_k on the index register [first, first+count):
   ///   |i> -> -|i| for i != 0, |0> -> |0>   (i.e. 2|0><0| - I on that range).
   void apply_reflect_zero(unsigned first, unsigned count);
+
+  /// Grover's diffusion 2|u><u| - I on the index register [first,
+  /// first+count), the operator U_k S_k U_k, applied as a mean reflection:
+  /// for each value of the qubits above the register, its 2^count
+  /// amplitudes become 2 * mean - amp. Two streaming passes, against 2 *
+  /// count butterfly stages for the H form; equal to it in exact arithmetic
+  /// and within a few ulps in floating point. The means accumulate in
+  /// double in both precisions, in a fixed order (SIMD path and thread
+  /// count do not change a bit). Requires first == 0 (contiguous sectors);
+  /// throws std::invalid_argument otherwise.
+  void apply_mean_reflection(unsigned first, unsigned count);
 
   /// Diagonal +-1 oracle given explicitly by its marked set: negates the
   /// amplitude of every listed basis state. Cost O(|marked|).

@@ -94,8 +94,9 @@ constexpr std::size_t kParallelGrain = std::size_t{1} << 14;
 // compiled again under target("avx2") — `flatten` inlines it so gcc
 // vectorizes the copy at 256 bits. Both paths perform the same IEEE ops per
 // element in the same order (no FMA: AVX2 does not imply it, and the build
-// passes -ffp-contract=off), so they are bit-identical, the probability
-// reductions included: those sum serially on both paths. The one
+// passes -ffp-contract=off), so they are bit-identical, the reductions
+// included: the probability sums run serially on both paths, and the mean
+// reflection's sums in the same eight lanes on both. The one
 // hand-written kernel is h2_span_avx2: its in-register shuffles for strides
 // below the lane width ran E22 at k = 5 10-20% faster than a clone of
 // h2_span_scalar. active_simd_mode() picks the path.
@@ -212,6 +213,32 @@ double prob_run_scalar(const S* __restrict__ r, const S* __restrict__ im,
   return acc;
 }
 
+// Sum of one component array's run for the mean reflection, accumulated in
+// double for both scalar types. Element i adds into lane i % 8, and the lanes
+// combine in one fixed tree, so the baseline build and the AVX2 clone (which
+// keeps the eight lanes in two registers) add the same values in the same
+// order.
+template <typename S>
+double sum_run_scalar(const S* __restrict__ p, std::size_t n) {
+  double s[8] = {};
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (std::size_t l = 0; l < 8; ++l) s[l] += static_cast<double>(p[i + l]);
+  }
+  for (std::size_t l = 0; i + l < n; ++l) s[l] += static_cast<double>(p[i + l]);
+  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+// amp <- c - amp, with c = 2 * mean of the amplitude's sector.
+template <typename S>
+void reflect_run_scalar(S* __restrict__ r, S* __restrict__ im, std::size_t n,
+                        S cr, S ci) {
+  for (std::size_t i = 0; i < n; ++i) {
+    r[i] = cr - r[i];
+    im[i] = ci - im[i];
+  }
+}
+
 // Masked forms for A3's oracle over a run of streamed bits: element i is
 // touched iff ones[i] != 0 (the run's own 0/1 input bytes). A select, not a
 // branch, so the clones vectorize; a swap or sign flip is exact either way.
@@ -305,6 +332,17 @@ QOLS_AVX2_CLONE double prob_run_avx2(const S* __restrict__ r,
                                      const S* __restrict__ im,
                                      std::size_t n) {
   return prob_run_scalar(r, im, n);
+}
+
+template <typename S>
+QOLS_AVX2_CLONE double sum_run_avx2(const S* __restrict__ p, std::size_t n) {
+  return sum_run_scalar(p, n);
+}
+
+template <typename S>
+QOLS_AVX2_CLONE void reflect_run_avx2(S* __restrict__ r, S* __restrict__ im,
+                                      std::size_t n, S cr, S ci) {
+  reflect_run_scalar(r, im, n, cr, ci);
 }
 
 #if QOLS_X86
@@ -523,6 +561,17 @@ inline void masked_neg_run(S* r, S* im, const std::uint8_t* ones,
 template <typename S>
 inline double prob_run(const S* r, const S* im, std::size_t n, bool avx2) {
   return avx2 ? prob_run_avx2(r, im, n) : prob_run_scalar(r, im, n);
+}
+
+template <typename S>
+inline double sum_run(const S* p, std::size_t n, bool avx2) {
+  return avx2 ? sum_run_avx2(p, n) : sum_run_scalar(p, n);
+}
+
+template <typename S>
+inline void reflect_run(S* r, S* im, std::size_t n, S cr, S ci, bool avx2) {
+  if (avx2) return reflect_run_avx2(r, im, n, cr, ci);
+  reflect_run_scalar(r, im, n, cr, ci);
 }
 
 // ---------------------------------------------------------------------------
@@ -915,6 +964,69 @@ void StateVectorT<Scalar>::apply_reflect_zero(unsigned first, unsigned count) {
     util::parallel_for(0, n, kParallelGrain, body);
   }
   negate_matching(range_mask(first, count), 0);
+}
+
+// 2|u><u| - I on the index register [0, count) in two streaming passes. The
+// register is dim / 2^count sectors, one per value of the qubits above the
+// index register, each a contiguous block of m = 2^count amplitudes; each
+// reflects about its own mean, amp <- 2 * mean - amp. Pass 1 sums fixed
+// chunks of min(m, kParallelGrain) amplitudes, and a sector's chunk sums add
+// in index order, so the means depend on the register shape alone, never on
+// how many threads ran the chunks. Pass 2 writes 2 * mean - amp.
+template <typename Scalar>
+void StateVectorT<Scalar>::apply_mean_reflection(unsigned first,
+                                                 unsigned count) {
+  if (first != 0) {
+    throw std::invalid_argument(
+        "StateVectorT::apply_mean_reflection: the index register must start "
+        "at qubit 0, got first = " +
+        std::to_string(first));
+  }
+  assert(count <= num_qubits_);
+  const bool avx2 = active_simd_mode() == SimdMode::kAvx2;
+  Scalar* re = re_.data();
+  Scalar* im = im_.data();
+  const std::size_t n = dim();
+  const std::size_t sector = std::size_t{1} << count;
+  const std::size_t chunk = std::min(sector, kParallelGrain);
+  std::vector<Amplitude> sums(n / chunk);
+  auto sum_body = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = lo; c < hi; ++c) {
+      sums[c] = {sum_run(re + c * chunk, chunk, avx2),
+                 sum_run(im + c * chunk, chunk, avx2)};
+    }
+  };
+  if (n <= kParallelGrain) {
+    sum_body(0, sums.size());
+  } else {
+    util::parallel_for(0, sums.size(), 1, sum_body);
+  }
+  // Sector s's centre 2 * mean_s overwrites sums[s]: it reads only
+  // sums[s * per_sector ...], none of which an earlier sector overwrote.
+  const std::size_t per_sector = sector / chunk;
+  const double scale = 2.0 / static_cast<double>(sector);
+  for (std::size_t s = 0; s < n / sector; ++s) {
+    Amplitude acc = sums[s * per_sector];
+    for (std::size_t c = 1; c < per_sector; ++c) {
+      acc += sums[s * per_sector + c];
+    }
+    sums[s] = acc * scale;
+  }
+  auto reflect_body = [&](std::size_t lo, std::size_t hi) {
+    while (lo < hi) {
+      const std::size_t s = lo >> count;
+      const std::size_t end = std::min(hi, (s + 1) << count);
+      reflect_run(re + lo, im + lo, end - lo,
+                  static_cast<Scalar>(sums[s].real()),
+                  static_cast<Scalar>(sums[s].imag()), avx2);
+      lo = end;
+    }
+  };
+  if (n <= kParallelGrain) {
+    reflect_body(0, n);
+  } else {
+    util::parallel_for(0, n, kParallelGrain, reflect_body);
+  }
 }
 
 template <typename Scalar>

@@ -4,13 +4,18 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <future>
+#include <limits>
 #include <numbers>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "qols/backend/dense_backend.hpp"
 #include "qols/quantum/state_vector.hpp"
 #include "qols/util/rng.hpp"
+#include "qols/util/thread_pool.hpp"
 
 namespace {
 
@@ -628,6 +633,120 @@ TYPED_TEST(IndexRunKernels, RunsMatchPerBitGates) {
       }
     }
   }
+}
+
+// Grover's diffusion as a sector mean reflection (apply_mean_reflection, the
+// dense backend's diffusion) against the H form U_k S_k U_k. The two are
+// equal in exact arithmetic, so they are compared to a tolerance; the SIMD
+// paths and the thread count must not change a bit.
+template <typename Scalar>
+class MeanReflection : public ::testing::Test {};
+TYPED_TEST_SUITE(MeanReflection, Scalars);
+
+template <typename Scalar>
+void apply_h_form(StateVectorT<Scalar>& sv, unsigned count) {
+  sv.apply_h_range(0, count);
+  sv.apply_reflect_zero(0, count);
+  sv.apply_h_range(0, count);
+}
+
+TYPED_TEST(MeanReflection, MatchesHadamardForm) {
+  using Scalar = TypeParam;
+  SimdModeGuard guard;
+  Rng rng(43);
+  for (const SimdMode mode : forced_modes()) {
+    qols::quantum::set_simd_mode(mode);
+    for (unsigned k = 1; k <= 8; ++k) {
+      const unsigned count = 2 * k;
+      // A3's shape (2k index qubits, h and l above), non-uniform components
+      // in [-1/2, 1/2].
+      const StateVectorT<Scalar> start =
+          random_pair<Scalar>(count + 2, rng).first;
+      StateVectorT<Scalar> mean = start;
+      StateVectorT<Scalar> h_form = start;
+      mean.apply_mean_reflection(0, count);
+      apply_h_form(h_form, count);
+      // Double: 1e-12. Float: each of the H form's 2 * count
+      // butterfly stages rounds once per component, and the reflection
+      // rounds twice more, each by at most eps times a magnitude below 1.
+      const double tol =
+          std::is_same_v<Scalar, double>
+              ? 1e-12
+              : (2.0 * count + 2.0) *
+                    static_cast<double>(std::numeric_limits<float>::epsilon());
+      for (std::size_t i = 0; i < start.dim(); ++i) {
+        ASSERT_NEAR(mean.re()[i], h_form.re()[i], tol)
+            << "mode=" << static_cast<int>(mode) << " k=" << k << " re[" << i
+            << "]";
+        ASSERT_NEAR(mean.im()[i], h_form.im()[i], tol)
+            << "mode=" << static_cast<int>(mode) << " k=" << k << " im[" << i
+            << "]";
+      }
+    }
+  }
+}
+
+TYPED_TEST(MeanReflection, ScalarAndAvx2AreBitEqual) {
+  using Scalar = TypeParam;
+  if (!qols::quantum::cpu_supports_avx2()) GTEST_SKIP() << "no AVX2";
+  SimdModeGuard guard;
+  Rng rng(47);
+  // Sectors of 1..2^8 amplitudes (lane tails included) under 1-10 qubits,
+  // and one 2^16-amplitude sector summed in fixed chunks across the grain.
+  std::vector<std::pair<unsigned, unsigned>> shapes;
+  for (unsigned count = 0; count <= 8; ++count) {
+    for (unsigned n = std::max(count, 1u); n <= count + 2; ++n) {
+      shapes.emplace_back(n, count);
+    }
+  }
+  shapes.emplace_back(17, 16);
+  for (const auto& [n, count] : shapes) {
+    const StateVectorT<Scalar> start = random_pair<Scalar>(n, rng).first;
+    StateVectorT<Scalar> scalar = start;
+    StateVectorT<Scalar> avx2 = start;
+    qols::quantum::set_simd_mode(SimdMode::kScalar);
+    scalar.apply_mean_reflection(0, count);
+    qols::quantum::set_simd_mode(SimdMode::kAvx2);
+    avx2.apply_mean_reflection(0, count);
+    expect_same_state(scalar, avx2,
+                      "n=" + std::to_string(n) +
+                          " count=" + std::to_string(count));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+// Above the parallel grain the sums run on the global pool. From one of the
+// pool's own workers parallel_for runs inline, so that is the one-thread
+// result; from the test thread the pool's workers join in (on a one-CPU
+// host the pool has one worker and both runs are inline).
+TYPED_TEST(MeanReflection, ThreadCountDoesNotChangeABit) {
+  using Scalar = TypeParam;
+  Rng rng(53);
+  for (const unsigned count : {12u, 16u}) {
+    const StateVectorT<Scalar> start = random_pair<Scalar>(18, rng).first;
+    StateVectorT<Scalar> pooled = start;
+    StateVectorT<Scalar> inline_run = start;
+    pooled.apply_mean_reflection(0, count);
+    std::promise<void> done;
+    qols::util::ThreadPool::global().submit([&] {
+      inline_run.apply_mean_reflection(0, count);
+      done.set_value();
+    });
+    done.get_future().get();
+    expect_same_state(pooled, inline_run, "count=" + std::to_string(count));
+  }
+}
+
+TEST(MeanReflection, SubRangeIsRejected) {
+  StateVector sv(6);
+  EXPECT_THROW(sv.apply_mean_reflection(1, 4), std::invalid_argument);
+  qols::backend::DenseBackend dense(6);
+  EXPECT_THROW(dense.apply_grover_diffusion(1, 4),
+               qols::backend::UnsupportedOperation);
+  qols::backend::DenseBackendF dense_f(6);
+  EXPECT_THROW(dense_f.apply_grover_diffusion(1, 4),
+               qols::backend::UnsupportedOperation);
+  EXPECT_NO_THROW(dense.apply_grover_diffusion(0, 4));
 }
 
 }  // namespace
