@@ -12,12 +12,11 @@
 // why dense_state() — the double-reference escape hatch — returns nullptr
 // for the float instantiation.
 //
-// Cost model: one-qubit gates are O(2^n), and the diffusion is two streaming
-// O(2^n) passes (a sector mean reflection); the A3 fast paths are
-// O(2^{n - index width}) per bit, and a run of bits is one masked sequential
-// pass of 2^{n - index width} contiguous ranges; memory is 16 bytes * 2^n
-// for double and 8 bytes * 2^n for float, which caps the feasible A3 depth
-// at k ~ 10-14 (2k+2 <= 30 qubits).
+// Cost model: the H range and the diffusion are streaming O(2^n) passes (the
+// diffusion a sector mean reflection); a run of oracle bits is one masked
+// sequential pass of 2^{n - index width} contiguous ranges; memory is
+// 16 bytes * 2^n for double and 8 bytes * 2^n for float, which caps the
+// feasible A3 depth at k ~ 10-14 (2k+2 <= 30 qubits).
 
 #include <cstdint>
 #include <span>
@@ -44,25 +43,9 @@ class DenseBackendT final : public QuantumBackend {
   unsigned num_qubits() const noexcept override {
     return state_.num_qubits();
   }
-  void reset() override { state_.reset(); }
-
-  void apply_h(unsigned q) override { state_.apply_h(q); }
-  void apply_x(unsigned q) override { state_.apply_x(q); }
-  void apply_z(unsigned q) override { state_.apply_z(q); }
-
-  void apply_mcx(std::span<const ControlTerm> controls,
-                 unsigned target) override {
-    state_.apply_mcx(controls, target);
-  }
-  void apply_mcz(std::span<const ControlTerm> controls) override {
-    state_.apply_mcz(controls);
-  }
 
   void apply_h_range(unsigned first, unsigned count) override {
     state_.apply_h_range(first, count);
-  }
-  void apply_reflect_zero(unsigned first, unsigned count) override {
-    state_.apply_reflect_zero(first, count);
   }
   void apply_grover_diffusion(unsigned first, unsigned count) override {
     static telemetry::SpanSite site =
@@ -78,22 +61,6 @@ class DenseBackendT final : public QuantumBackend {
     // for bit; gate-level circuits still spell the diffusion out in H gates.
     state_.apply_mean_reflection(first, count);
   }
-  void apply_phase_flip_set(std::span<const std::uint64_t> marked) override {
-    state_.apply_phase_flip_set(marked);
-  }
-  void apply_x_on_index(unsigned first, unsigned count, std::uint64_t index,
-                        unsigned target) override {
-    state_.apply_x_on_index(first, count, index, target);
-  }
-  void apply_z_on_index(unsigned first, unsigned count, std::uint64_t index,
-                        unsigned h) override {
-    state_.apply_z_on_index(first, count, index, h);
-  }
-  void apply_cx_on_index(unsigned first, unsigned count, std::uint64_t index,
-                         unsigned h, unsigned target) override {
-    state_.apply_cx_on_index(first, count, index, h, target);
-  }
-
   void apply_on_index_run(IndexOp op, unsigned count, std::uint64_t offset,
                           std::span<const std::uint8_t> ones, unsigned h,
                           unsigned target) override {

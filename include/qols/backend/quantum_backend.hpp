@@ -12,13 +12,18 @@
 //     states, making every A3 operation cost O(#classes) instead of
 //     O(2^{2k}) and lifting the feasible k well past the dense wall.
 //
-// The operation set is exactly what A3 needs: the index-register preparation
-// H^{x2k}, the per-symbol V_x/W_y/R_y fast paths and their per-run form
-// (one call per run of streamed data bits), the U_k S_k U_k Grover
-// diffusion (a single composite call so both backends can apply
-// 2|u><u| - I directly, as a mean reflection), pattern-controlled gates,
-// last-qubit measurement and an amplitude/probability probe for
-// differential testing.
+// The interface is exactly what GroverStreamer calls, one way per
+// operation of A3: the index-register preparation H^{x2k}
+// (apply_h_range), the streamed V_x/W_y/R_y oracles (apply_on_index_run,
+// which takes a run of data bits; a single 1-bit is a run of one), the
+// U_k S_k U_k Grover diffusion (apply_grover_diffusion, one composite call
+// so both backends apply 2|u><u| - I directly, as a mean reflection),
+// snapshot/restore, and the last-qubit probability and measurement. The
+// amplitude(), norm() and dense_state() probes exist for differential
+// testing. Gate-level kernels (single-qubit and pattern-controlled gates,
+// per-index oracles, reflect-zero) live on the concrete types --
+// quantum::StateVectorT and StructuredBackend -- for the callers that hold
+// those types directly.
 //
 // A backend that cannot represent the result of an operation throws
 // UnsupportedOperation instead of silently computing the wrong state; the
@@ -40,12 +45,12 @@
 namespace qols::backend {
 
 using quantum::Amplitude;
-using quantum::ControlTerm;
 
 /// Thrown when a backend is asked for an operation outside its representable
-/// set (e.g. a Hadamard on one index-register qubit of the structured
-/// backend). Indicates a caller bug or a backend/workload mismatch —
-/// DenseBackend throws it only for a diffusion with first != 0.
+/// set (e.g. an H range over part of the structured backend's index
+/// register, or a measurement of one of its index qubits). Indicates a
+/// caller bug or a backend/workload mismatch — DenseBackend throws it only
+/// for a diffusion with first != 0.
 class UnsupportedOperation : public std::logic_error {
  public:
   explicit UnsupportedOperation(const std::string& what)
@@ -54,9 +59,9 @@ class UnsupportedOperation : public std::logic_error {
 
 /// Which of A3's index-controlled oracles apply_on_index_run applies.
 enum class IndexOp : std::uint8_t {
-  kX,   ///< V_x: X on h                 (apply_x_on_index)
-  kZ,   ///< W_y: phase flip if h == 1   (apply_z_on_index)
-  kCX,  ///< R_y: X on target if h == 1  (apply_cx_on_index)
+  kX,   ///< V_x: X on h
+  kZ,   ///< W_y: phase flip if h == 1
+  kCX,  ///< R_y: X on target if h == 1
 };
 
 /// Abstract quantum register: everything procedure A3 applies or observes.
@@ -79,85 +84,28 @@ class QuantumBackend {
 
   virtual unsigned num_qubits() const noexcept = 0;
 
-  /// Back to |0...0>.
-  virtual void reset() = 0;
-
-  // --- single-qubit gates --------------------------------------------------
-  virtual void apply_h(unsigned q) = 0;
-  virtual void apply_x(unsigned q) = 0;
-  virtual void apply_z(unsigned q) = 0;
-
-  // --- pattern-controlled gates --------------------------------------------
-  /// X on `target` conditioned on every ControlTerm holding.
-  virtual void apply_mcx(std::span<const ControlTerm> controls,
-                         unsigned target) = 0;
-  /// Phase flip (-1) on basis states satisfying every ControlTerm.
-  virtual void apply_mcz(std::span<const ControlTerm> controls) = 0;
-
-  // --- structured operators of procedure A3 --------------------------------
-  /// Hadamard on each qubit in [first, first+count): U_k on the index
-  /// register.
+  // --- the operators of procedure A3 ----------------------------------------
+  /// H^{x count} on [first, first+count): A3's step 1, U_k applied to the
+  /// index register in |0...0>.
   virtual void apply_h_range(unsigned first, unsigned count) = 0;
-
-  /// S_k on [first, first+count): |i> -> -|i> for i != 0, |0> -> |0>.
-  virtual void apply_reflect_zero(unsigned first, unsigned count) = 0;
-
-  /// The full Grover diffusion U_k S_k U_k = 2|u><u| - I on
-  /// [first, first+count), exposed as one composite so backends apply it as
-  /// a reflection about each sector's mean (structured: O(#classes); dense:
-  /// two streaming passes) without a general mid-state Hadamard transform.
-  /// Both backends require first == 0 and throw UnsupportedOperation
-  /// otherwise.
-  virtual void apply_grover_diffusion(unsigned first, unsigned count) = 0;
-
-  /// Diagonal +-1 oracle given by its marked set: negates the amplitude of
-  /// every listed basis state (full-register basis indices).
-  virtual void apply_phase_flip_set(std::span<const std::uint64_t> marked) = 0;
-
-  /// V_x fast path: X on `target` conditioned on the index register
-  /// [first, first+count) being exactly |index>.
-  virtual void apply_x_on_index(unsigned first, unsigned count,
-                                std::uint64_t index, unsigned target) = 0;
-
-  /// W_y fast path: phase flip conditioned on index register == |index> AND
-  /// qubit `h` == 1.
-  virtual void apply_z_on_index(unsigned first, unsigned count,
-                                std::uint64_t index, unsigned h) = 0;
-
-  /// R_y fast path: X on `target` conditioned on index register == |index>
-  /// AND qubit `h` == 1.
-  virtual void apply_cx_on_index(unsigned first, unsigned count,
-                                 std::uint64_t index, unsigned h,
-                                 unsigned target) = 0;
 
   /// A3's oracle over a run of streamed data bits: for every i with
   /// ones[i] != 0 (ones holds 0/1 bytes), `op` on index offset + i of the
-  /// index register [0, count) — X on h, Z conditioned on h, or X on
-  /// `target` conditioned on h (`target` is read only by kCX). Requires
-  /// offset + ones.size() <= 2^count. The default loops the per-index calls
-  /// above over the set bytes; the dense backend overrides it with one
-  /// masked pass over contiguous amplitude ranges, bit-identical to that
-  /// loop.
+  /// index register [0, count) -- X on h (V_x), a phase flip conditioned on
+  /// h == 1 (W_y), or X on `target` conditioned on h == 1 (R_y; `target` is
+  /// read only by kCX). Requires offset + ones.size() <= 2^count. The one
+  /// oracle entry point: a single streamed 1-bit is a one-byte run.
   virtual void apply_on_index_run(IndexOp op, unsigned count,
                                   std::uint64_t offset,
                                   std::span<const std::uint8_t> ones,
-                                  unsigned h, unsigned target) {
-    for (std::size_t i = 0; i < ones.size(); ++i) {
-      if (ones[i] == 0) continue;
-      const std::uint64_t index = offset + i;
-      switch (op) {
-        case IndexOp::kX:
-          apply_x_on_index(0, count, index, h);
-          break;
-        case IndexOp::kZ:
-          apply_z_on_index(0, count, index, h);
-          break;
-        case IndexOp::kCX:
-          apply_cx_on_index(0, count, index, h, target);
-          break;
-      }
-    }
-  }
+                                  unsigned h, unsigned target) = 0;
+
+  /// The Grover diffusion U_k S_k U_k = 2|u><u| - I on [first, first+count),
+  /// one composite call so backends apply it as a reflection about each
+  /// sector's mean (structured: O(#classes); dense: two streaming passes)
+  /// without a general mid-state Hadamard transform. Both backends require
+  /// first == 0 and throw UnsupportedOperation otherwise.
+  virtual void apply_grover_diffusion(unsigned first, unsigned count) = 0;
 
   // --- snapshot / restore --------------------------------------------------
   /// Serializes the register for recognizer snapshot/restore. The payload is

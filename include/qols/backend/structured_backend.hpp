@@ -35,9 +35,17 @@
 // apply_phase_flip_set, which is what lets experiment E19 run k = 14..20
 // (28-40 index qubits, a dense-infeasible 2^{30}..2^{42}-amplitude state).
 //
-// Operations that would break the class form (a Hadamard on a single index
-// qubit, a partial index-pattern control, measuring an index qubit) throw
-// UnsupportedOperation; A3 never needs them.
+// Beyond the QuantumBackend interface, the per-index oracles
+// apply_{x,z,cx}_on_index and apply_phase_flip_set are public members of
+// the concrete type: apply_on_index_run loops the first three, and
+// experiment E19 holds a StructuredBackend directly to drive whole Grover
+// repetitions at k = 14..20 through them.
+//
+// Shapes that would break the class form throw UnsupportedOperation; A3
+// never needs them: an H range on part of the index register or on a state
+// that is not an index-0 product state, an oracle or diffusion on a
+// sub-range of the index register, an oracle whose h/target is an index
+// qubit, and measuring an index qubit.
 
 #include <cstdint>
 #include <span>
@@ -59,26 +67,33 @@ class StructuredBackend final : public QuantumBackend {
   std::string_view id() const noexcept override { return "structured"; }
   unsigned num_qubits() const noexcept override { return num_qubits_; }
   unsigned index_width() const noexcept { return index_width_; }
-  void reset() override;
 
-  void apply_h(unsigned q) override;
-  void apply_x(unsigned q) override;
-  void apply_z(unsigned q) override;
-
-  void apply_mcx(std::span<const ControlTerm> controls,
-                 unsigned target) override;
-  void apply_mcz(std::span<const ControlTerm> controls) override;
-
+  /// Only the preparation direction: an index-0 product state becomes the
+  /// uniform superposition (one class).
   void apply_h_range(unsigned first, unsigned count) override;
-  void apply_reflect_zero(unsigned first, unsigned count) override;
+  /// Loops apply_{x,z,cx}_on_index over the set bytes of the run.
+  void apply_on_index_run(IndexOp op, unsigned count, std::uint64_t offset,
+                          std::span<const std::uint8_t> ones, unsigned h,
+                          unsigned target) override;
   void apply_grover_diffusion(unsigned first, unsigned count) override;
-  void apply_phase_flip_set(std::span<const std::uint64_t> marked) override;
+
+  // --- concrete-type operations (experiment E19) ---------------------------
+  /// Diagonal +-1 oracle given by its marked set: negates the amplitude of
+  /// every listed basis state (full-register basis indices). One call stands
+  /// for a whole repetition's V_x W_y V_x round.
+  void apply_phase_flip_set(std::span<const std::uint64_t> marked);
+  /// V_x on one index: X on tail qubit `target` iff the index register
+  /// [first, first+count) -- which must be all of it -- is |index>.
   void apply_x_on_index(unsigned first, unsigned count, std::uint64_t index,
-                        unsigned target) override;
+                        unsigned target);
+  /// W_y on one index: phase flip iff index register == |index> and tail
+  /// qubit `h` == 1.
   void apply_z_on_index(unsigned first, unsigned count, std::uint64_t index,
-                        unsigned h) override;
+                        unsigned h);
+  /// R_y on one index: X on tail qubit `target` iff index register ==
+  /// |index> and tail qubit `h` == 1.
   void apply_cx_on_index(unsigned first, unsigned count, std::uint64_t index,
-                         unsigned h, unsigned target) override;
+                         unsigned h, unsigned target);
 
   /// Class-list serialization: per class the shared sector vector, count,
   /// rest flag and the member set (sorted, so snapshots of equal states are
@@ -94,7 +109,7 @@ class StructuredBackend final : public QuantumBackend {
   /// Number of amplitude classes right now (invariant I3 makes this the
   /// true symmetry count; the per-operation cost driver).
   std::size_t class_count() const noexcept { return classes_.size(); }
-  /// High-water mark of class_count() since construction/reset.
+  /// High-water mark of class_count() since construction.
   std::size_t peak_class_count() const noexcept { return peak_classes_; }
   /// Indices currently tracked explicitly (the memory driver).
   std::size_t explicit_index_count() const noexcept;

@@ -81,14 +81,17 @@ class GroverStreamer {
   explicit GroverStreamer(util::Rng rng);
   GroverStreamer(util::Rng rng, Options opts);
 
-  /// Consumes one symbol of the word (same stream as A1/A2).
+  /// Consumes one symbol of the word (same stream as A1/A2). A data 1-bit
+  /// that fires an oracle reaches the register as a one-byte
+  /// QuantumBackend::apply_on_index_run, the only oracle entry point.
   void feed(stream::Symbol s);
 
   /// Consumes a run of symbols; identical register evolution, RNG
   /// consumption and gates_applied() to per-symbol feeding. The chunk is
   /// split at separators, and each data run (clipped at the block's end) is
-  /// one QuantumBackend::apply_on_index_run call; the post-measurement tail
-  /// is ignored wholesale. Gate-level mode (a gate sink) stays bit by bit.
+  /// one apply_on_index_run call over the whole run -- the per-symbol path
+  /// is the same call on runs of one byte. The post-measurement tail is
+  /// ignored wholesale. Gate-level mode (a gate sink) stays bit by bit.
   void feed_chunk(std::span<const stream::Symbol> chunk);
 
   /// A3's output: 1 if the measured ancilla was 0 ("looks disjoint"),

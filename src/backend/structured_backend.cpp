@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 #include <utility>
 
@@ -34,11 +33,6 @@ StructuredBackend::StructuredBackend(unsigned num_qubits, unsigned index_width)
   tail_width_ = num_qubits - index_width;
   index_size_ = std::uint64_t{1} << index_width_;
   sectors_ = std::size_t{1} << tail_width_;
-  reset();
-}
-
-void StructuredBackend::reset() {
-  classes_.clear();
   // |0...0>: index 0 carries the whole state; everything else has a zero
   // tail vector and lives in the rest class.
   AmpClass zero;
@@ -146,176 +140,25 @@ double StructuredBackend::sector_norm(const AmpClass& c) const {
   return s;
 }
 
-// --- single-qubit gates ----------------------------------------------------
-
-void StructuredBackend::apply_h(unsigned q) {
-  const unsigned b = tail_bit(q, "H");
-  const std::size_t bit = std::size_t{1} << b;
-  constexpr double inv_sqrt2 = std::numbers::sqrt2 / 2.0;
-  for (AmpClass& c : classes_) {
-    for (std::size_t s = 0; s < sectors_; ++s) {
-      if (s & bit) continue;
-      const Amplitude lo = c.amp[s];
-      const Amplitude hi = c.amp[s | bit];
-      c.amp[s] = (lo + hi) * inv_sqrt2;
-      c.amp[s | bit] = (lo - hi) * inv_sqrt2;
-    }
-  }
-  coalesce();
-}
-
-void StructuredBackend::apply_x(unsigned q) {
-  if (q < index_width_) {
-    // X on an index qubit permutes basis indices i -> i ^ bit. Explicit
-    // member sets are re-keyed; the rest class is the complement of the
-    // explicit sets, and complements are preserved by any permutation.
-    const std::uint64_t bit = std::uint64_t{1} << q;
-    for (AmpClass& c : classes_) {
-      if (c.is_rest) continue;
-      std::unordered_set<std::uint64_t> moved;
-      moved.reserve(c.members.size());
-      for (std::uint64_t i : c.members) moved.insert(i ^ bit);
-      c.members = std::move(moved);
-    }
-    return;
-  }
-  const std::size_t bit = std::size_t{1} << tail_bit(q, "X");
-  for (AmpClass& c : classes_) {
-    for (std::size_t s = 0; s < sectors_; ++s) {
-      if (!(s & bit)) std::swap(c.amp[s], c.amp[s | bit]);
-    }
-  }
-  coalesce();
-}
-
-void StructuredBackend::apply_z(unsigned q) {
-  const std::size_t bit = std::size_t{1} << tail_bit(q, "Z");
-  for (AmpClass& c : classes_) {
-    for (std::size_t s = 0; s < sectors_; ++s) {
-      if (s & bit) c.amp[s] = -c.amp[s];
-    }
-  }
-  coalesce();
-}
-
-// --- pattern-controlled gates ----------------------------------------------
-
-namespace {
-
-struct SplitControls {
-  std::uint64_t index_mask = 0;
-  std::uint64_t index_want = 0;
-  std::size_t tail_mask = 0;
-  std::size_t tail_want = 0;
-};
-
-}  // namespace
-
-void StructuredBackend::apply_mcx(std::span<const ControlTerm> controls,
-                                  unsigned target) {
-  SplitControls sc;
-  for (const ControlTerm& c : controls) {
-    if (c.qubit < index_width_) {
-      sc.index_mask |= std::uint64_t{1} << c.qubit;
-      if (c.value) sc.index_want |= std::uint64_t{1} << c.qubit;
-    } else {
-      const std::size_t bit = std::size_t{1} << (c.qubit - index_width_);
-      sc.tail_mask |= bit;
-      if (c.value) sc.tail_want |= bit;
-    }
-  }
-  const std::size_t tbit = std::size_t{1} << tail_bit(target, "MCX target");
-  auto flip_sectors = [&](AmpClass& c) {
-    for (std::size_t s = 0; s < sectors_; ++s) {
-      if (s & tbit) continue;
-      // Controls never include the target, so both pair halves agree on
-      // the control condition.
-      if ((s & sc.tail_mask) != sc.tail_want) continue;
-      std::swap(c.amp[s], c.amp[s | tbit]);
-    }
-  };
-  if (sc.index_mask == 0) {
-    for (AmpClass& c : classes_) flip_sectors(c);
-  } else if (sc.index_mask == index_size_ - 1) {
-    flip_sectors(classes_[isolate(sc.index_want)]);
-  } else {
-    throw UnsupportedOperation(
-        "MCX with a partial index-register control pattern");
-  }
-  coalesce();
-}
-
-void StructuredBackend::apply_mcz(std::span<const ControlTerm> controls) {
-  SplitControls sc;
-  for (const ControlTerm& c : controls) {
-    if (c.qubit < index_width_) {
-      sc.index_mask |= std::uint64_t{1} << c.qubit;
-      if (c.value) sc.index_want |= std::uint64_t{1} << c.qubit;
-    } else {
-      const std::size_t bit = std::size_t{1} << (c.qubit - index_width_);
-      sc.tail_mask |= bit;
-      if (c.value) sc.tail_want |= bit;
-    }
-  }
-  auto phase_sectors = [&](AmpClass& c) {
-    for (std::size_t s = 0; s < sectors_; ++s) {
-      if ((s & sc.tail_mask) == sc.tail_want) c.amp[s] = -c.amp[s];
-    }
-  };
-  if (sc.index_mask == 0) {
-    for (AmpClass& c : classes_) phase_sectors(c);
-  } else if (sc.index_mask == index_size_ - 1) {
-    phase_sectors(classes_[isolate(sc.index_want)]);
-  } else {
-    throw UnsupportedOperation(
-        "MCZ with a partial index-register control pattern");
-  }
-  coalesce();
-}
-
 // --- structured A3 operators -----------------------------------------------
 
 void StructuredBackend::apply_h_range(unsigned first, unsigned count) {
   require_full_index_range(first, count, "H range");
-  // H^{(x)w} is only representable at the two endpoints A3 uses: preparing
-  // the uniform superposition from an index-0 product state, and (its
-  // inverse) collapsing a single-class state back onto index 0.
-  const double root_m = std::sqrt(static_cast<double>(index_size_));
-  if (classes_.size() == 1) {
-    // Uniform class -> all amplitude onto index 0.
-    AmpClass zero;
-    zero.amp = classes_.front().amp;
-    for (Amplitude& a : zero.amp) a *= root_m;
-    zero.count = 1;
-    zero.members.insert(0);
-    AmpClass rest;
-    rest.amp.assign(sectors_, Amplitude{0.0, 0.0});
-    rest.count = index_size_ - 1;
-    rest.is_rest = true;
-    classes_.clear();
-    classes_.push_back(std::move(zero));
-    classes_.push_back(std::move(rest));
-    coalesce();
-    return;
-  }
+  // H^{(x)w} is only representable in the direction A3 uses: preparing the
+  // uniform superposition from an index-0 product state. That demands all
+  // amplitude on index 0 *alone*: the class holding index 0 must be the
+  // singleton {0} (a larger class means other indices share its
+  // non-trivial amplitude) and every other class must carry nothing.
   const std::size_t zero_class = find_class(0);
-  // The inverse direction demands all amplitude on index 0 *alone*: the
-  // class holding index 0 must be the singleton {0} (a larger class means
-  // other indices share its non-trivial amplitude) and every other class
-  // must carry nothing.
-  if (classes_[zero_class].count != 1) {
+  bool product = classes_[zero_class].count == 1;
+  for (std::size_t i = 0; product && i < classes_.size(); ++i) {
+    product = i == zero_class || sector_norm(classes_[i]) == 0.0;
+  }
+  if (!product) {
     throw UnsupportedOperation(
-        "H range on a state that is neither an index-0 product state nor "
-        "index-uniform");
+        "H range on a state that is not an index-0 product state");
   }
-  for (std::size_t i = 0; i < classes_.size(); ++i) {
-    if (i == zero_class) continue;
-    if (sector_norm(classes_[i]) != 0.0) {
-      throw UnsupportedOperation(
-          "H range on a state that is neither an index-0 product state nor "
-          "index-uniform");
-    }
-  }
+  const double root_m = std::sqrt(static_cast<double>(index_size_));
   AmpClass rest;
   rest.amp = classes_[zero_class].amp;
   for (Amplitude& a : rest.amp) a /= root_m;
@@ -323,17 +166,6 @@ void StructuredBackend::apply_h_range(unsigned first, unsigned count) {
   rest.is_rest = true;
   classes_.clear();
   classes_.push_back(std::move(rest));
-  peak_classes_ = std::max(peak_classes_, classes_.size());
-}
-
-void StructuredBackend::apply_reflect_zero(unsigned first, unsigned count) {
-  require_full_index_range(first, count, "reflect-zero");
-  const std::size_t zero_class = isolate(0);
-  for (std::size_t i = 0; i < classes_.size(); ++i) {
-    if (i == zero_class) continue;
-    for (Amplitude& a : classes_[i].amp) a = -a;
-  }
-  coalesce();
 }
 
 void StructuredBackend::apply_grover_diffusion(unsigned first,
@@ -362,6 +194,27 @@ void StructuredBackend::apply_grover_diffusion(unsigned first,
     }
   }
   coalesce();
+}
+
+void StructuredBackend::apply_on_index_run(IndexOp op, unsigned count,
+                                           std::uint64_t offset,
+                                           std::span<const std::uint8_t> ones,
+                                           unsigned h, unsigned target) {
+  for (std::size_t i = 0; i < ones.size(); ++i) {
+    if (ones[i] == 0) continue;
+    const std::uint64_t index = offset + i;
+    switch (op) {
+      case IndexOp::kX:
+        apply_x_on_index(0, count, index, h);
+        break;
+      case IndexOp::kZ:
+        apply_z_on_index(0, count, index, h);
+        break;
+      case IndexOp::kCX:
+        apply_cx_on_index(0, count, index, h, target);
+        break;
+    }
+  }
 }
 
 void StructuredBackend::apply_phase_flip_set(

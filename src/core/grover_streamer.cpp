@@ -168,17 +168,9 @@ void GroverStreamer::on_bit(bool bit) {
   const unsigned l = 2 * k_ + 1;
   if (backend_) {
     ++gates_applied_;
-    switch (*op) {
-      case backend::IndexOp::kX:
-        backend_->apply_x_on_index(0, 2 * k_, idx, h);
-        break;
-      case backend::IndexOp::kZ:
-        backend_->apply_z_on_index(0, 2 * k_, idx, h);
-        break;
-      case backend::IndexOp::kCX:
-        backend_->apply_cx_on_index(0, 2 * k_, idx, h, l);
-        break;
-    }
+    // The same entry point as on_run: this 1-bit is a run of one.
+    static constexpr std::uint8_t kFires = 1;
+    backend_->apply_on_index_run(*op, 2 * k_, idx, {&kFires, 1}, h, l);
   }
   if (builder_) {
     switch (*op) {

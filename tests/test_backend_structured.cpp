@@ -1,6 +1,11 @@
 // Unit tests: StructuredBackend — operation-level agreement with the dense
 // reference, the class-representation invariants (I1-I3 in the header), and
-// the UnsupportedOperation boundary.
+// the UnsupportedOperation boundary. Both backends are driven through the
+// QuantumBackend interface the way A3 drives them: every oracle is an
+// apply_on_index_run, a single streamed 1-bit a run of one byte (fire()).
+// The structured side's apply_phase_flip_set — E19's one-call stand-in for
+// a repetition's V_x W_y V_x round — is checked against that round on the
+// dense side.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,8 +21,8 @@
 namespace {
 
 using qols::backend::Amplitude;
-using qols::backend::ControlTerm;
 using qols::backend::DenseBackend;
+using qols::backend::IndexOp;
 using qols::backend::QuantumBackend;
 using qols::backend::StructuredBackend;
 using qols::backend::UnsupportedOperation;
@@ -26,6 +31,25 @@ using qols::util::Rng;
 constexpr unsigned kIndexWidth = 4;   // m = 16 indices
 constexpr unsigned kQubits = 6;       // + h + l tail
 constexpr std::uint64_t kDim = std::uint64_t{1} << kQubits;
+constexpr unsigned kH = kIndexWidth;      // A3's oracle workspace h
+constexpr unsigned kL = kIndexWidth + 1;  // A3's result qubit l
+
+/// One A3 oracle on one index, the way GroverStreamer applies a streamed
+/// 1-bit: a one-byte apply_on_index_run.
+void fire(QuantumBackend& b, IndexOp op, std::uint64_t idx, unsigned h = kH,
+          unsigned target = kL) {
+  static constexpr std::uint8_t kFires = 1;
+  b.apply_on_index_run(op, kIndexWidth, idx, {&kFires, 1}, h, target);
+}
+
+/// A3's V_x W_y V_x round with x = y = `marked`: with h = 0 on entry it
+/// negates exactly the marked indices, which is what
+/// StructuredBackend::apply_phase_flip_set does for sector-0 basis states.
+void flip_marked(QuantumBackend& b, const std::vector<std::uint64_t>& marked) {
+  for (const IndexOp op : {IndexOp::kX, IndexOp::kZ, IndexOp::kX}) {
+    for (const std::uint64_t idx : marked) fire(b, op, idx);
+  }
+}
 
 void expect_states_equal(const QuantumBackend& a, const QuantumBackend& b,
                          double tol = 1e-12) {
@@ -49,6 +73,8 @@ TEST(StructuredBackend, StartsInBasisZero) {
 }
 
 TEST(StructuredBackend, HRangePreparesUniformAndInverts) {
+  // Only the preparation direction is offered: A3 never maps the uniform
+  // state back, so a second H range is refused instead of inverting.
   StructuredBackend s(kQubits, kIndexWidth);
   s.apply_h_range(0, kIndexWidth);
   // Invariant I3: the uniform state is one class.
@@ -58,22 +84,21 @@ TEST(StructuredBackend, HRangePreparesUniformAndInverts) {
     ASSERT_NEAR(s.amplitude(i).real(), amp, 1e-15);
   }
   EXPECT_NEAR(s.norm(), 1.0, 1e-12);
-  // H^{(x)w} is self-inverse: back to |0...0>.
-  s.apply_h_range(0, kIndexWidth);
-  EXPECT_NEAR(std::abs(s.amplitude(0) - Amplitude{1.0, 0.0}), 0.0, 1e-12);
+  EXPECT_THROW(s.apply_h_range(0, kIndexWidth), UnsupportedOperation);
+  EXPECT_EQ(s.class_count(), 1u);  // state untouched by the rejection
 }
 
 TEST(StructuredBackend, GroverIterationMatchesDense) {
   StructuredBackend s(kQubits, kIndexWidth);
   DenseBackend d(kQubits);
   const std::vector<std::uint64_t> marked = {3, 7, 11};
-  for (QuantumBackend* b : {static_cast<QuantumBackend*>(&s),
-                            static_cast<QuantumBackend*>(&d)}) {
-    b->apply_h_range(0, kIndexWidth);
-    for (int it = 0; it < 5; ++it) {
-      b->apply_phase_flip_set(marked);
-      b->apply_grover_diffusion(0, kIndexWidth);
-    }
+  s.apply_h_range(0, kIndexWidth);
+  d.apply_h_range(0, kIndexWidth);
+  for (int it = 0; it < 5; ++it) {
+    s.apply_phase_flip_set(marked);
+    flip_marked(d, marked);
+    s.apply_grover_diffusion(0, kIndexWidth);
+    d.apply_grover_diffusion(0, kIndexWidth);
   }
   expect_states_equal(s, d);
   // Invariant I3: marked vs unmarked is exactly two classes.
@@ -85,67 +110,20 @@ TEST(StructuredBackend, GroverIterationMatchesDense) {
 TEST(StructuredBackend, A3FastPathsMatchDense) {
   StructuredBackend s(kQubits, kIndexWidth);
   DenseBackend d(kQubits);
-  const unsigned h = kIndexWidth;
-  const unsigned l = kIndexWidth + 1;
   for (QuantumBackend* b : {static_cast<QuantumBackend*>(&s),
                             static_cast<QuantumBackend*>(&d)}) {
     b->apply_h_range(0, kIndexWidth);
     // A V_x / W_y / V_z round plus step 4, in the shapes A3 emits.
-    for (std::uint64_t idx : {0ull, 5ull, 9ull}) {
-      b->apply_x_on_index(0, kIndexWidth, idx, h);
-    }
-    for (std::uint64_t idx : {5ull, 6ull}) {
-      b->apply_z_on_index(0, kIndexWidth, idx, h);
-    }
-    for (std::uint64_t idx : {0ull, 5ull, 9ull}) {
-      b->apply_x_on_index(0, kIndexWidth, idx, h);
-    }
+    for (std::uint64_t idx : {0ull, 5ull, 9ull}) fire(*b, IndexOp::kX, idx);
+    for (std::uint64_t idx : {5ull, 6ull}) fire(*b, IndexOp::kZ, idx);
+    for (std::uint64_t idx : {0ull, 5ull, 9ull}) fire(*b, IndexOp::kX, idx);
     b->apply_grover_diffusion(0, kIndexWidth);
-    for (std::uint64_t idx : {5ull}) {
-      b->apply_x_on_index(0, kIndexWidth, idx, h);
-      b->apply_cx_on_index(0, kIndexWidth, idx, h, l);
-    }
+    fire(*b, IndexOp::kX, 5);
+    fire(*b, IndexOp::kCX, 5);
   }
   expect_states_equal(s, d);
-  EXPECT_NEAR(s.probability_one(l), d.probability_one(l), 1e-12);
-  EXPECT_NEAR(s.probability_one(h), d.probability_one(h), 1e-12);
-}
-
-TEST(StructuredBackend, ReflectZeroAndTailGatesMatchDense) {
-  StructuredBackend s(kQubits, kIndexWidth);
-  DenseBackend d(kQubits);
-  for (QuantumBackend* b : {static_cast<QuantumBackend*>(&s),
-                            static_cast<QuantumBackend*>(&d)}) {
-    b->apply_h_range(0, kIndexWidth);
-    b->apply_phase_flip_set(std::vector<std::uint64_t>{2});
-    b->apply_reflect_zero(0, kIndexWidth);
-    b->apply_h(kIndexWidth);      // tail H
-    b->apply_x(kIndexWidth + 1);  // tail X
-    b->apply_z(kIndexWidth);      // tail Z
-    b->apply_x(1);                // X on an index qubit: permutation
-  }
-  expect_states_equal(s, d);
-}
-
-TEST(StructuredBackend, FullPatternControlsMatchDense) {
-  StructuredBackend s(kQubits, kIndexWidth);
-  DenseBackend d(kQubits);
-  std::vector<ControlTerm> full_pattern;
-  for (unsigned q = 0; q < kIndexWidth; ++q) {
-    full_pattern.push_back({q, (q & 1) != 0});  // index |1010> = 10
-  }
-  std::vector<ControlTerm> with_h = full_pattern;
-  with_h.push_back({kIndexWidth, true});
-  std::vector<ControlTerm> tail_only = {{kIndexWidth, true}};
-  for (QuantumBackend* b : {static_cast<QuantumBackend*>(&s),
-                            static_cast<QuantumBackend*>(&d)}) {
-    b->apply_h_range(0, kIndexWidth);
-    b->apply_mcx(full_pattern, kIndexWidth);
-    b->apply_mcz(with_h);
-    b->apply_mcx(tail_only, kIndexWidth + 1);
-    b->apply_mcz(tail_only);
-  }
-  expect_states_equal(s, d);
+  EXPECT_NEAR(s.probability_one(kL), d.probability_one(kL), 1e-12);
+  EXPECT_NEAR(s.probability_one(kH), d.probability_one(kH), 1e-12);
 }
 
 TEST(StructuredBackend, MeasurementAgreesWithDenseSeedForSeed) {
@@ -153,20 +131,21 @@ TEST(StructuredBackend, MeasurementAgreesWithDenseSeedForSeed) {
     StructuredBackend s(kQubits, kIndexWidth);
     DenseBackend d(kQubits);
     const std::vector<std::uint64_t> marked = {1, 4};
+    s.apply_h_range(0, kIndexWidth);
+    d.apply_h_range(0, kIndexWidth);
+    s.apply_phase_flip_set(marked);
+    flip_marked(d, marked);
     for (QuantumBackend* b : {static_cast<QuantumBackend*>(&s),
                               static_cast<QuantumBackend*>(&d)}) {
-      b->apply_h_range(0, kIndexWidth);
-      b->apply_phase_flip_set(marked);
       b->apply_grover_diffusion(0, kIndexWidth);
       for (std::uint64_t idx : marked) {
-        b->apply_x_on_index(0, kIndexWidth, idx, kIndexWidth);
-        b->apply_cx_on_index(0, kIndexWidth, idx, kIndexWidth,
-                             kIndexWidth + 1);
+        fire(*b, IndexOp::kX, idx);
+        fire(*b, IndexOp::kCX, idx);
       }
     }
     Rng rs(seed), rd(seed);
-    const bool outcome_s = s.measure(kIndexWidth + 1, rs);
-    const bool outcome_d = d.measure(kIndexWidth + 1, rd);
+    const bool outcome_s = s.measure(kL, rs);
+    const bool outcome_d = d.measure(kL, rd);
     ASSERT_EQ(outcome_s, outcome_d) << "seed " << seed;
     ASSERT_NEAR(s.norm(), 1.0, 1e-12);
     expect_states_equal(s, d);
@@ -183,39 +162,23 @@ TEST(StructuredBackend, RandomizedSupportedSequencesMatchDense) {
     for (int op = 0; op < 40; ++op) {
       const std::uint64_t idx = rng.below(16);
       const unsigned tail = kIndexWidth + static_cast<unsigned>(rng.below(2));
-      switch (rng.below(7)) {
-        case 0:
-          s.apply_x_on_index(0, kIndexWidth, idx, tail);
-          d.apply_x_on_index(0, kIndexWidth, idx, tail);
-          break;
-        case 1:
-          s.apply_z_on_index(0, kIndexWidth, idx, tail);
-          d.apply_z_on_index(0, kIndexWidth, idx, tail);
-          break;
-        case 2:
-          s.apply_cx_on_index(0, kIndexWidth, idx, kIndexWidth,
-                              kIndexWidth + 1);
-          d.apply_cx_on_index(0, kIndexWidth, idx, kIndexWidth,
-                              kIndexWidth + 1);
-          break;
-        case 3: {
-          const std::vector<std::uint64_t> marked = {idx};
-          s.apply_phase_flip_set(marked);
-          d.apply_phase_flip_set(marked);
-          break;
+      const auto kind = rng.below(4);
+      for (QuantumBackend* b : {static_cast<QuantumBackend*>(&s),
+                                static_cast<QuantumBackend*>(&d)}) {
+        switch (kind) {
+          case 0:
+            fire(*b, IndexOp::kX, idx, tail);
+            break;
+          case 1:
+            fire(*b, IndexOp::kZ, idx, tail);
+            break;
+          case 2:
+            fire(*b, IndexOp::kCX, idx);
+            break;
+          case 3:
+            b->apply_grover_diffusion(0, kIndexWidth);
+            break;
         }
-        case 4:
-          s.apply_grover_diffusion(0, kIndexWidth);
-          d.apply_grover_diffusion(0, kIndexWidth);
-          break;
-        case 5:
-          s.apply_reflect_zero(0, kIndexWidth);
-          d.apply_reflect_zero(0, kIndexWidth);
-          break;
-        case 6:
-          s.apply_h(tail);
-          d.apply_h(tail);
-          break;
       }
     }
     expect_states_equal(s, d);
@@ -226,13 +189,11 @@ TEST(StructuredBackend, RandomizedSupportedSequencesMatchDense) {
 }
 
 TEST(StructuredBackend, IndexRunsMatchPerIndexCalls) {
-  // apply_on_index_run against the same set bits applied one by one,
-  // exactly: the structured backend's default loop, and the dense
-  // override's masked kernels reached through the backend interface.
-  using qols::backend::IndexOp;
+  // apply_on_index_run over a run against the same set bits fired as
+  // one-byte runs -- GroverStreamer's per-symbol path -- exactly: the
+  // structured backend's per-index loop, and the dense backend's masked
+  // kernels reached through the backend interface.
   Rng rng(43);
-  const unsigned h = kIndexWidth;
-  const unsigned l = kIndexWidth + 1;
   const std::uint64_t m = std::uint64_t{1} << kIndexWidth;
   for (int trial = 0; trial < 30; ++trial) {
     StructuredBackend s_run(kQubits, kIndexWidth);
@@ -250,23 +211,12 @@ TEST(StructuredBackend, IndexRunsMatchPerIndexCalls) {
       const auto op = static_cast<IndexOp>(rng.below(3));
       for (QuantumBackend* b : {static_cast<QuantumBackend*>(&s_run),
                                 static_cast<QuantumBackend*>(&d_run)}) {
-        b->apply_on_index_run(op, kIndexWidth, off, ones, h, l);
+        b->apply_on_index_run(op, kIndexWidth, off, ones, kH, kL);
       }
       for (QuantumBackend* b : {static_cast<QuantumBackend*>(&s_bit),
                                 static_cast<QuantumBackend*>(&d_bit)}) {
         for (std::size_t i = 0; i < ones.size(); ++i) {
-          if (ones[i] == 0) continue;
-          switch (op) {
-            case IndexOp::kX:
-              b->apply_x_on_index(0, kIndexWidth, off + i, h);
-              break;
-            case IndexOp::kZ:
-              b->apply_z_on_index(0, kIndexWidth, off + i, h);
-              break;
-            case IndexOp::kCX:
-              b->apply_cx_on_index(0, kIndexWidth, off + i, h, l);
-              break;
-          }
+          if (ones[i] != 0) fire(*b, op, off + i);
         }
       }
       if (run % 4 == 3) {
@@ -298,24 +248,20 @@ TEST(StructuredBackend, ManyDiffusionsKeepClassCountBounded) {
 TEST(StructuredBackend, UnsupportedOperationsThrow) {
   StructuredBackend s(kQubits, kIndexWidth);
   s.apply_h_range(0, kIndexWidth);
-  EXPECT_THROW(s.apply_h(0), UnsupportedOperation);       // index-qubit H
-  EXPECT_THROW(s.apply_z(2), UnsupportedOperation);       // index-qubit Z
   EXPECT_THROW(s.apply_h_range(0, 2), UnsupportedOperation);  // sub-range
   Rng rng(1);
   EXPECT_THROW(s.measure(0, rng), UnsupportedOperation);  // index measurement
-  // Partial index-control pattern (covers 1 of 4 index qubits).
-  const std::vector<ControlTerm> partial = {{0, true}};
-  EXPECT_THROW(s.apply_mcx(partial, kIndexWidth), UnsupportedOperation);
-  EXPECT_THROW(s.apply_mcz(partial), UnsupportedOperation);
-  // H range on a state that is neither uniform nor index-0 concentrated.
+  // An oracle whose target is an index-register qubit.
+  EXPECT_THROW(s.apply_x_on_index(0, kIndexWidth, 3, 1), UnsupportedOperation);
+  // H range on a state that is not an index-0 product state.
   s.apply_phase_flip_set(std::vector<std::uint64_t>{5});
   EXPECT_THROW(s.apply_h_range(0, kIndexWidth), UnsupportedOperation);
 }
 
 TEST(StructuredBackend, HRangeRejectsMultiIndexConcentration) {
   // Regression: a state whose support is {0, 1} (a two-member class after a
-  // collapse) is NOT an index-0 product state; the collapse branch of
-  // apply_h_range must throw, never silently emit an unnormalized state.
+  // collapse) is NOT an index-0 product state; apply_h_range must throw,
+  // never silently emit an unnormalized state.
   StructuredBackend s(kQubits, kIndexWidth);
   s.apply_h_range(0, kIndexWidth);
   s.apply_x_on_index(0, kIndexWidth, 0, kIndexWidth);
@@ -360,15 +306,6 @@ TEST(StructuredBackend, LargeIndexRegisterStaysExact) {
   EXPECT_NEAR(s.norm(), 1.0, 1e-9);
   EXPECT_LE(s.class_count(), 3u);
   EXPECT_EQ(s.explicit_index_count(), 1u);
-}
-
-TEST(StructuredBackend, ResetRearms) {
-  StructuredBackend s(kQubits, kIndexWidth);
-  s.apply_h_range(0, kIndexWidth);
-  s.apply_phase_flip_set(std::vector<std::uint64_t>{1, 2, 3});
-  s.reset();
-  EXPECT_EQ(s.amplitude(0), (Amplitude{1.0, 0.0}));
-  EXPECT_NEAR(s.norm(), 1.0, 1e-15);
 }
 
 }  // namespace

@@ -224,9 +224,13 @@ TEST(ChunkDifferential, RunStreamMatchesManualPerSymbolLoop) {
   }
 }
 
-// Register level: A3's streamer fed per symbol (one gate per 1-bit) and
-// chunked (one backend call per run of data bits) must leave every
-// amplitude, the gate tally and j equal, on every backend. Chunk cuts at
+// Register level: A3's streamer fed per symbol (one one-byte
+// apply_on_index_run per 1-bit) and chunked (one apply_on_index_run per run
+// of data bits) must leave every amplitude, the gate tally and j equal, on
+// every backend. Both sides reach the register through the same backend
+// function, so this pins the streamer's run splitting and clipping; the
+// backend's run kernel itself is pinned against the dense reference in
+// test_backend_structured and test_backend_differential. Chunk cuts at
 // random sizes land inside runs, so a run split across chunks, a run
 // clipped at the block end m and a run that continues past m all occur.
 
@@ -295,8 +299,8 @@ void expect_streamer_chunking_invariant(const std::string& name,
   plans.push_back(std::move(random_plan));
 
   for (const StreamerConfig& config : kStreamerConfigs) {
-    // The structured backend's run path is the per-index loop itself
-    // (pinned in test_backend_structured); at k = 7 its per-bit hash
+    // The structured backend's run path is a per-index loop (pinned in
+    // test_backend_structured); at k = 7 its per-bit hash
     // updates would make it this suite's slowest case.
     if (config.backend == "structured" && k > 6) continue;
     const std::string who = name + " backend=" + config.backend +
