@@ -23,8 +23,7 @@
 #include <optional>
 
 #include "qols/core/grover_streamer.hpp"
-#include "qols/fingerprint/equality_checker.hpp"
-#include "qols/lang/structure_validator.hpp"
+#include "qols/core/validator_front.hpp"
 #include "qols/machine/online_recognizer.hpp"
 
 namespace qols::core {
@@ -76,13 +75,14 @@ class QuantumOnlineRecognizer final : public machine::OnlineRecognizer {
   bool finish_complement() { return !finish(); }
 
   const GroverStreamer& a3() const noexcept { return *a3_; }
-  const lang::StructureValidator& a1() const noexcept { return a1_; }
-  const fingerprint::EqualityChecker& a2() const noexcept { return *a2_; }
+  const lang::StructureValidator& a1() const noexcept { return front_.a1(); }
+  const fingerprint::EqualityChecker& a2() const noexcept {
+    return front_.a2();
+  }
 
  private:
   Options opts_;
-  lang::StructureValidator a1_;
-  std::unique_ptr<fingerprint::EqualityChecker> a2_;
+  ValidatorFront front_;  // A1 and A2
   std::unique_ptr<GroverStreamer> a3_;
   bool finished_ = false;
 };

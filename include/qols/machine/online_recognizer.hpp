@@ -94,7 +94,11 @@ class OnlineRecognizer {
 
   /// Loads a snapshot() buffer, replacing this recognizer's entire state —
   /// including any construction-time seed. Throws util::serde::DecodeError
-  /// on malformed bytes, wrong recognizer kind, or mismatched geometry.
+  /// on malformed bytes, wrong recognizer kind, or mismatched geometry:
+  /// a configuration that differs from this instance's, or a restored
+  /// position or buffer the machine could not have reached (e.g. a buffer
+  /// whose size disagrees with the restored k), so no later feed() can
+  /// index past its memory.
   virtual void restore(std::span<const std::uint8_t> bytes) {
     (void)bytes;
     throw UnsupportedSnapshot("restore (" + name() + ")");

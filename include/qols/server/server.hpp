@@ -8,7 +8,7 @@
 // across the ThreadPool, and finish(span), which drains and finishes a
 // batch of detached sessions on the pool with the loop thread claiming
 // sessions too. Each SessionBroker::pump() batches the FINISH frames it
-// decodes, and the loop reads ahead up to read_chunk per pool thread before
+// decodes, and the loop reads ahead up to 64 KiB per pool thread before
 // pumping, so a pump holds several FINISHes. The loop otherwise never
 // contends on session state — it decodes frames, hands them to each
 // connection's SessionBroker, and moves bytes.
@@ -21,8 +21,9 @@
 //     connection (EPOLLIN off) until the peer drains below cap/2 — a slow
 //     consumer throttles exactly itself;
 //   - feed-side pressure is bounded by the service: buffered symbols
-//     auto-flush across the pool at Config::flush_threshold, so a shard's
-//     backlog never exceeds the threshold plus one chunk.
+//     auto-flush across the pool at the service's default flush_threshold
+//     (2^18 symbols per shard), so a shard's backlog never exceeds the
+//     threshold plus one chunk.
 //
 // Idle sessions: a periodic sweep (Config::sweep_interval_ms) spills
 // sessions quiet for Config::idle_evict_ms onto the PR 7 snapshot codec
@@ -57,16 +58,10 @@ class Server {
     std::string bind_address = "127.0.0.1";
     /// 0 = ephemeral: the kernel picks; read it back with port().
     std::uint16_t port = 0;
-    int backlog = 256;
     std::size_t max_connections = 1024;
     std::uint64_t max_sessions = std::uint64_t{1} << 17;
     /// Write-buffer high watermark per connection; reads pause above it.
     std::size_t write_buffer_cap = std::size_t{1} << 20;
-    /// recv() chunk size. A connection reads up to read_chunk per pool
-    /// thread before its frames are pumped.
-    std::size_t read_chunk = std::size_t{1} << 16;
-    /// RecognizerService batching threshold (symbols per shard).
-    std::uint64_t flush_threshold = std::uint64_t{1} << 18;
     /// Spill sessions idle this long (0 = never evict).
     std::uint64_t idle_evict_ms = 0;
     /// Timer granularity for eviction sweeps and drain checks.
@@ -168,7 +163,7 @@ class Server {
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
   /// recv() buffer shared by every connection (the loop is one thread).
   std::vector<std::uint8_t> read_buf_;
-  /// Bytes a connection may ingest before it is pumped: read_chunk per pool
+  /// Bytes a connection may ingest before it is pumped: 64 KiB per pool
   /// thread (256 KiB on 4 threads). On quantum-k5 on a 4-core host, one
   /// 64 KiB recv() per pump averaged one FINISH per pump; a 1 MiB
   /// read-ahead queued whole client windows behind one pump (p50 latency

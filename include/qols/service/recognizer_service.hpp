@@ -122,9 +122,6 @@ class RecognizerService {
     /// throws std::invalid_argument otherwise). The destructor of a durable
     /// service leaves spill files and the manifest in place.
     bool durable = false;
-    /// Manifest fsync batching (SessionTable::Options::sync_every). Evict
-    /// records and compaction always force a sync regardless.
-    std::uint64_t manifest_sync_every = 32;
   };
 
   /// Aggregate throughput counters (monotonic since construction or the

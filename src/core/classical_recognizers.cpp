@@ -2,163 +2,254 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
+#include <functional>
 #include <stdexcept>
+#include <string>
 
 namespace qols::core {
 
 using stream::Symbol;
+using util::serde::DecodeError;
 
 namespace {
 
-// Shared chunk driver for the recognizers' own body logic (A1/A2 consume the
-// chunk separately, in bulk): per-symbol through the prefix, then the body
-// split into separators (rare, per symbol) and data runs (bulk). All state
-// transitions happen inside the callbacks, so chunk boundaries can never
-// diverge from per-symbol feeding.
-template <typename OwnSymbol, typename BodyRun>
-void drive_chunk(std::span<const Symbol> chunk, const bool& in_prefix,
-                 const bool& active, OwnSymbol&& on_own_symbol,
-                 BodyRun&& on_body_run) {
-  std::size_t i = 0;
-  const std::size_t n = chunk.size();
-  while (i < n && in_prefix) on_own_symbol(chunk[i++]);
-  if (!active) return;  // body ignores the rest (bad shape or k out of range)
-  while (i < n) {
-    if (chunk[i] == Symbol::kSep) {
-      on_own_symbol(chunk[i]);
-      ++i;
-      continue;
-    }
-    const std::size_t j = stream::find_sep(chunk.data(), i + 1, n);
-    on_body_run(chunk.data() + i, j - i);
-    i = j;
-  }
-}
-
-// Snapshot kind tags (see machine/online_recognizer.hpp).
-constexpr std::uint8_t kTagBlock = 1;
-constexpr std::uint8_t kTagFull = 2;
-constexpr std::uint8_t kTagSampling = 3;
-constexpr std::uint8_t kTagBloom = 4;
+// The prefix counter stops here; longer prefixes end inactive.
+constexpr unsigned kPrefixCeiling = 20;
 
 void put_bitvec(util::serde::ByteWriter& w, const util::BitVec& v) {
   w.u64(v.size());
   w.u64_vec(v.words());
 }
 
-util::BitVec get_bitvec(util::serde::ByteReader& r) {
+// Reads a bit vector whose size the restored cursor fixes: any other size
+// would let a later data bit index past it.
+util::BitVec get_bitvec(util::serde::ByteReader& r, std::uint64_t expected,
+                        const char* who) {
   const std::uint64_t n = r.u64();
   std::vector<std::uint64_t> words = r.u64_vec();
+  if (n != expected) {
+    throw DecodeError(std::string(who) +
+                      ": buffer size disagrees with the cursor");
+  }
   try {
     return util::BitVec::from_words(static_cast<std::size_t>(n),
                                     std::move(words));
   } catch (const std::invalid_argument& e) {
-    throw util::serde::DecodeError(e.what());
+    throw DecodeError(e.what());
   }
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ClassicalBlockRecognizer (Proposition 3.7)
+// BlockCursor
 // ---------------------------------------------------------------------------
 
-ClassicalBlockRecognizer::ClassicalBlockRecognizer(std::uint64_t seed) {
-  reset(seed);
+bool BlockCursor::step_prefix(Symbol s, unsigned max_k) noexcept {
+  if (s == Symbol::kOne && k < kPrefixCeiling) {
+    ++k;
+    return false;
+  }
+  in_prefix = false;
+  if (s != Symbol::kSep || k < 1 || k > max_k) return false;
+  active = true;
+  m = std::uint64_t{1} << (2 * k);
+  return true;
 }
 
-void ClassicalBlockRecognizer::reset(std::uint64_t seed) {
+bool BlockCursor::step_separator() noexcept {
+  off = 0;
+  if (block == 2) {
+    ++rep;
+    block = 0;
+    return true;
+  }
+  ++block;
+  return false;
+}
+
+void BlockCursor::snapshot_to(util::serde::ByteWriter& w,
+                              bool block_len_slot) const {
+  w.b(in_prefix);
+  w.u32(k);
+  w.b(active);
+  w.u64(m);
+  if (block_len_slot) w.u64(block_len());
+  w.u64(rep);
+  w.u32(block);
+  w.u64(off);
+}
+
+void BlockCursor::restore_from(util::serde::ByteReader& r, unsigned max_k,
+                               bool block_len_slot, const char* who) {
+  in_prefix = r.b();
+  k = r.u32();
+  active = r.b();
+  m = r.u64();
+  const std::uint64_t len = block_len_slot ? r.u64() : 0;
+  rep = r.u64();
+  block = r.u32();
+  off = r.u64();
+  const bool reachable =
+      k <= kPrefixCeiling && block <= 2 &&
+      (active ? !in_prefix && k >= 1 && k <= max_k &&
+                    m == std::uint64_t{1} << (2 * k)
+              : (m | rep | block | off) == 0) &&
+      (!block_len_slot || len == block_len());
+  if (!reachable) {
+    throw DecodeError(std::string(who) + ": cursor geometry out of range");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ClassicalMachine: the front, the cursor and the found flag
+// ---------------------------------------------------------------------------
+
+template <typename S>
+void ClassicalMachine<S>::reset(std::uint64_t seed) {
   util::Rng rng(seed);
-  a1_ = lang::StructureValidator();
-  a2_ = std::make_unique<fingerprint::EqualityChecker>(rng.split());
-  in_prefix_ = true;
-  k_ = 0;
-  active_ = false;
-  m_ = 0;
-  block_len_ = 0;
-  rep_ = 0;
-  block_ = 0;
-  off_ = 0;
-  buffer_ = util::BitVec();
+  front_.reset(rng);
+  cursor_ = BlockCursor{};
   found_ = false;
+  self().reset_memory(seed, rng);
 }
 
-void ClassicalBlockRecognizer::feed(Symbol s) {
-  a1_.feed(s);
-  a2_->feed(s);
+template <typename S>
+void ClassicalMachine<S>::feed(Symbol s) {
+  front_.feed(s);
   on_own_symbol(s);
 }
 
-void ClassicalBlockRecognizer::on_own_symbol(Symbol s) {
-  if (in_prefix_) {
-    if (s == Symbol::kOne && k_ < 20) {
-      ++k_;
-      return;
-    }
-    in_prefix_ = false;
-    if (s == Symbol::kSep && k_ >= 1 && k_ <= 15) {
-      active_ = true;
-      m_ = std::uint64_t{1} << (2 * k_);
-      block_len_ = std::uint64_t{1} << k_;
-      buffer_ = util::BitVec(block_len_);
-    }
+template <typename S>
+void ClassicalMachine<S>::on_own_symbol(Symbol s) {
+  if (cursor_.in_prefix) {
+    if (cursor_.step_prefix(s, S::kMaxK)) self().activate();
     return;
   }
-  if (!active_) return;
-  on_body_symbol(s);
-}
-
-void ClassicalBlockRecognizer::feed_chunk(std::span<const Symbol> chunk) {
-  a1_.feed_chunk(chunk);
-  a2_->feed_chunk(chunk);
-  drive_chunk(
-      chunk, in_prefix_, active_, [this](Symbol s) { on_own_symbol(s); },
-      [this](const Symbol* d, std::uint64_t len) { on_body_run(d, len); });
-}
-
-void ClassicalBlockRecognizer::on_body_symbol(Symbol s) {
+  if (!cursor_.active) return;
   if (s == Symbol::kSep) {
-    if (block_ == 2) {
-      ++rep_;
-      block_ = 0;
-    } else {
-      ++block_;
-    }
-    off_ = 0;
+    self().on_separator(cursor_.step_separator());
     return;
   }
-  const bool bit = (s == Symbol::kOne);
-  const std::uint64_t idx = off_++;
-  if (idx >= m_ || rep_ >= block_len_) return;  // malformed; A1 rejects
+  const std::uint64_t idx = cursor_.off++;
+  if (idx < cursor_.m) self().step_bit(idx, s == Symbol::kOne);
+}
+
+template <typename S>
+void ClassicalMachine<S>::on_data_run(const Symbol* data, std::uint64_t len) {
+  // Bit-identical to len step_bit calls: the offset always advances, and
+  // the strategy sees only the part of the run inside [0, m) — bits past
+  // the block's end belong to a malformed word that A1 rejects.
+  const std::uint64_t start = cursor_.off;
+  cursor_.off += len;
+  if (start >= cursor_.m) return;
+  self().step_run(start, data, std::min(len, cursor_.m - start));
+}
+
+template <typename S>
+void ClassicalMachine<S>::feed_chunk(std::span<const Symbol> chunk) {
+  front_.feed_chunk(chunk);
+  // The skeleton's chunk loop (A1/A2 consumed the chunk above, in bulk):
+  // per symbol through the prefix, then the body split into separators
+  // (rare, per symbol) and data runs (one step_run each). Every state
+  // transition happens in the same steps feed() takes, so a chunk boundary
+  // can never diverge from per-symbol feeding.
+  std::size_t i = 0;
+  const std::size_t n = chunk.size();
+  while (i < n && cursor_.in_prefix) on_own_symbol(chunk[i++]);
+  if (!cursor_.active) return;  // bad shape or k out of range
+  while (i < n) {
+    if (chunk[i] == Symbol::kSep) {
+      self().on_separator(cursor_.step_separator());
+      ++i;
+      continue;
+    }
+    const std::size_t j = stream::find_sep(chunk.data(), i + 1, n);
+    on_data_run(chunk.data() + i, j - i);
+    i = j;
+  }
+}
+
+template <typename S>
+bool ClassicalMachine<S>::finish() {
+  return front_.passed() && !found_;
+}
+
+template <typename S>
+machine::SpaceReport ClassicalMachine<S>::space_used() const {
+  machine::SpaceReport r;
+  r.classical_bits = front_.classical_bits_used() + self().memory_bits();
+  r.qubits = 0;
+  return r;
+}
+
+// Layout (kind tag in the header): strategy config, A1, A2, the cursor,
+// strategy memory, the found flag.
+template <typename S>
+std::vector<std::uint8_t> ClassicalMachine<S>::snapshot() const {
+  util::serde::ByteWriter w;
+  machine::snapshot_header(w, S::kTag);
+  self().put_config(w);
+  front_.snapshot_to(w);
+  cursor_.snapshot_to(w, S::kBlockLenSlot);
+  self().put_memory(w);
+  w.b(found_);
+  return w.take();
+}
+
+template <typename S>
+void ClassicalMachine<S>::restore(std::span<const std::uint8_t> bytes) {
+  util::serde::ByteReader r(bytes);
+  try {
+    machine::check_snapshot_header(r, S::kTag, S::kName);
+    self().get_config(r);
+    front_.restore_from(r);
+    cursor_.restore_from(r, S::kMaxK, S::kBlockLenSlot, S::kName);
+    self().get_memory(r);
+    found_ = r.b();
+    r.expect_exhausted();
+  } catch (const DecodeError&) {
+    // A half-restored machine could hold a cursor its memory disagrees
+    // with; leave a fresh one instead, so a caller that keeps feeding after
+    // the error cannot index past the memory.
+    reset(0);
+    throw;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ClassicalBlockRecognizer (Proposition 3.7)
+// ---------------------------------------------------------------------------
+
+void ClassicalBlockRecognizer::step_bit(std::uint64_t idx, bool bit) {
   // Repetition r owns the index window [r*2^k, (r+1)*2^k).
-  const std::uint64_t window_lo = rep_ * block_len_;
-  if (idx < window_lo || idx >= window_lo + block_len_) return;
+  const std::uint64_t len = buffer_.size();
+  if (cursor_.rep >= len) return;  // malformed; A1 rejects
+  const std::uint64_t window_lo = cursor_.rep * len;
+  if (idx < window_lo || idx >= window_lo + len) return;
   const std::uint64_t slot = idx - window_lo;
-  if (block_ == 0) {
+  if (cursor_.block == 0) {
     buffer_.set(slot, bit);
-  } else if (block_ == 1) {
+  } else if (cursor_.block == 1) {
     if (bit && buffer_.get(slot)) found_ = true;
   }
 }
 
-void ClassicalBlockRecognizer::on_body_run(const Symbol* data,
-                                           std::uint64_t len) {
-  // Bit-identical to len on_body_symbol calls: off_ always advances; only
-  // the run's overlap with this repetition's window [r*2^k, (r+1)*2^k) is
-  // read or written, and z-blocks touch nothing.
-  const std::uint64_t start = off_;
-  off_ += len;
-  if (rep_ >= block_len_ || block_ == 2) return;
-  const std::uint64_t window_lo = rep_ * block_len_;
-  const std::uint64_t window_hi = window_lo + block_len_;
+void ClassicalBlockRecognizer::step_run(std::uint64_t start,
+                                        const Symbol* data,
+                                        std::uint64_t len) {
+  // Only the run's overlap with this repetition's window is read or
+  // written, and z-blocks touch nothing.
+  const std::uint64_t block_len = buffer_.size();
+  if (cursor_.rep >= block_len || cursor_.block == 2) return;
+  const std::uint64_t window_lo = cursor_.rep * block_len;
   const std::uint64_t lo = std::max(start, window_lo);
-  const std::uint64_t hi = std::min({start + len, window_hi, m_});
-  if (block_ == 0) {
+  const std::uint64_t hi = std::min(start + len, window_lo + block_len);
+  if (cursor_.block == 0) {
     for (std::uint64_t idx = lo; idx < hi; ++idx) {
       buffer_.set(idx - window_lo, data[idx - start] == Symbol::kOne);
     }
-  } else if (block_ == 1) {
+  } else {
     for (std::uint64_t idx = lo; idx < hi; ++idx) {
       if (data[idx - start] == Symbol::kOne && buffer_.get(idx - window_lo)) {
         found_ = true;
@@ -167,390 +258,173 @@ void ClassicalBlockRecognizer::on_body_run(const Symbol* data,
   }
 }
 
-bool ClassicalBlockRecognizer::finish() {
-  if (!a1_.finish()) return false;
-  if (!a2_->passed()) return false;
-  return !found_;
-}
-
-machine::SpaceReport ClassicalBlockRecognizer::space_used() const {
-  machine::SpaceReport r;
+std::uint64_t ClassicalBlockRecognizer::memory_bits() const noexcept {
+  const unsigned k = cursor_.k;
   const std::uint64_t counters =
-      active_ ? (std::uint64_t{k_} + 1) + (2 * k_ + 1) + 4 : 8;
-  r.classical_bits = a1_.classical_bits_used() + a2_->classical_bits_used() +
-                     buffer_.size() + counters + 1;  // +1 found flag
-  r.qubits = 0;
-  return r;
+      cursor_.active ? (std::uint64_t{k} + 1) + (2 * k + 1) + 4 : 8;
+  return buffer_.size() + counters + 1;  // +1 found flag
 }
 
-std::vector<std::uint8_t> ClassicalBlockRecognizer::snapshot() const {
-  util::serde::ByteWriter w;
-  machine::snapshot_header(w, kTagBlock);
-  a1_.snapshot_to(w);
-  a2_->snapshot_to(w);
-  w.b(in_prefix_);
-  w.u32(k_);
-  w.b(active_);
-  w.u64(m_);
-  w.u64(block_len_);
-  w.u64(rep_);
-  w.u32(block_);
-  w.u64(off_);
+void ClassicalBlockRecognizer::put_memory(util::serde::ByteWriter& w) const {
   put_bitvec(w, buffer_);
-  w.b(found_);
-  return w.take();
 }
 
-void ClassicalBlockRecognizer::restore(std::span<const std::uint8_t> bytes) {
-  util::serde::ByteReader r(bytes);
-  machine::check_snapshot_header(r, kTagBlock, "classical-block");
-  a1_.restore_from(r);
-  a2_->restore_from(r);
-  in_prefix_ = r.b();
-  k_ = r.u32();
-  active_ = r.b();
-  m_ = r.u64();
-  block_len_ = r.u64();
-  rep_ = r.u64();
-  block_ = r.u32();
-  off_ = r.u64();
-  buffer_ = get_bitvec(r);
-  found_ = r.b();
-  r.expect_exhausted();
+void ClassicalBlockRecognizer::get_memory(util::serde::ByteReader& r) {
+  buffer_ = get_bitvec(r, cursor_.block_len(), kName);
 }
 
 // ---------------------------------------------------------------------------
 // ClassicalFullRecognizer
 // ---------------------------------------------------------------------------
 
-ClassicalFullRecognizer::ClassicalFullRecognizer(std::uint64_t seed) {
-  reset(seed);
-}
-
-void ClassicalFullRecognizer::reset(std::uint64_t seed) {
-  util::Rng rng(seed);
-  a1_ = lang::StructureValidator();
-  a2_ = std::make_unique<fingerprint::EqualityChecker>(rng.split());
-  in_prefix_ = true;
-  k_ = 0;
-  active_ = false;
-  m_ = 0;
-  rep_ = 0;
-  block_ = 0;
-  off_ = 0;
-  x_ = util::BitVec();
-  found_ = false;
-}
-
-void ClassicalFullRecognizer::feed(Symbol s) {
-  a1_.feed(s);
-  a2_->feed(s);
-  on_own_symbol(s);
-}
-
-void ClassicalFullRecognizer::on_own_symbol(Symbol s) {
-  if (in_prefix_) {
-    if (s == Symbol::kOne && k_ < 20) {
-      ++k_;
-      return;
-    }
-    in_prefix_ = false;
-    if (s == Symbol::kSep && k_ >= 1 && k_ <= 12) {
-      active_ = true;
-      m_ = std::uint64_t{1} << (2 * k_);
-      x_ = util::BitVec(m_);
-    }
-    return;
-  }
-  if (!active_) return;
-  if (s == Symbol::kSep) {
-    if (block_ == 2) {
-      ++rep_;
-      block_ = 0;
-    } else {
-      ++block_;
-    }
-    off_ = 0;
-    return;
-  }
-  const bool bit = (s == Symbol::kOne);
-  const std::uint64_t idx = off_++;
-  if (idx >= m_) return;
-  if (rep_ == 0 && block_ == 0) {
+void ClassicalFullRecognizer::step_bit(std::uint64_t idx, bool bit) {
+  if (cursor_.rep != 0) return;
+  if (cursor_.block == 0) {
     x_.set(idx, bit);
-  } else if (rep_ == 0 && block_ == 1) {
+  } else if (cursor_.block == 1) {
     if (bit && x_.get(idx)) found_ = true;
   }
 }
 
-void ClassicalFullRecognizer::feed_chunk(std::span<const Symbol> chunk) {
-  a1_.feed_chunk(chunk);
-  a2_->feed_chunk(chunk);
-  drive_chunk(
-      chunk, in_prefix_, active_, [this](Symbol s) { on_own_symbol(s); },
-      [this](const Symbol* d, std::uint64_t len) { on_body_run(d, len); });
-}
-
-void ClassicalFullRecognizer::on_body_run(const Symbol* data,
-                                          std::uint64_t len) {
-  // Only repetition 0 reads or writes x; later repetitions are counter
-  // arithmetic (A2 carries the consistency burden there).
-  const std::uint64_t start = off_;
-  off_ += len;
-  if (rep_ != 0) return;
-  const std::uint64_t hi = std::min(start + len, m_);
-  if (block_ == 0) {
-    for (std::uint64_t idx = start; idx < hi; ++idx) {
-      x_.set(idx, data[idx - start] == Symbol::kOne);
+void ClassicalFullRecognizer::step_run(std::uint64_t start, const Symbol* data,
+                                       std::uint64_t len) {
+  if (cursor_.rep != 0) return;
+  if (cursor_.block == 0) {
+    for (std::uint64_t i = 0; i < len; ++i) {
+      x_.set(start + i, data[i] == Symbol::kOne);
     }
-  } else if (block_ == 1) {
-    for (std::uint64_t idx = start; idx < hi; ++idx) {
-      if (data[idx - start] == Symbol::kOne && x_.get(idx)) found_ = true;
+  } else if (cursor_.block == 1) {
+    for (std::uint64_t i = 0; i < len; ++i) {
+      if (data[i] == Symbol::kOne && x_.get(start + i)) found_ = true;
     }
   }
 }
 
-bool ClassicalFullRecognizer::finish() {
-  if (!a1_.finish()) return false;
-  if (!a2_->passed()) return false;
-  return !found_;
-}
-
-machine::SpaceReport ClassicalFullRecognizer::space_used() const {
-  machine::SpaceReport r;
-  r.classical_bits = a1_.classical_bits_used() + a2_->classical_bits_used() +
-                     x_.size() + (2ULL * k_ + 1) + 4;
-  r.qubits = 0;
-  return r;
-}
-
-std::vector<std::uint8_t> ClassicalFullRecognizer::snapshot() const {
-  util::serde::ByteWriter w;
-  machine::snapshot_header(w, kTagFull);
-  a1_.snapshot_to(w);
-  a2_->snapshot_to(w);
-  w.b(in_prefix_);
-  w.u32(k_);
-  w.b(active_);
-  w.u64(m_);
-  w.u64(rep_);
-  w.u32(block_);
-  w.u64(off_);
+void ClassicalFullRecognizer::put_memory(util::serde::ByteWriter& w) const {
   put_bitvec(w, x_);
-  w.b(found_);
-  return w.take();
 }
 
-void ClassicalFullRecognizer::restore(std::span<const std::uint8_t> bytes) {
-  util::serde::ByteReader r(bytes);
-  machine::check_snapshot_header(r, kTagFull, "classical-full");
-  a1_.restore_from(r);
-  a2_->restore_from(r);
-  in_prefix_ = r.b();
-  k_ = r.u32();
-  active_ = r.b();
-  m_ = r.u64();
-  rep_ = r.u64();
-  block_ = r.u32();
-  off_ = r.u64();
-  x_ = get_bitvec(r);
-  found_ = r.b();
-  r.expect_exhausted();
+void ClassicalFullRecognizer::get_memory(util::serde::ByteReader& r) {
+  x_ = get_bitvec(r, cursor_.m, kName);
 }
 
 // ---------------------------------------------------------------------------
 // ClassicalSamplingRecognizer
 // ---------------------------------------------------------------------------
 
-ClassicalSamplingRecognizer::ClassicalSamplingRecognizer(std::uint64_t seed,
-                                                         std::uint64_t budget)
-    : rng_(seed), budget_(budget) {
-  reset(seed);
-}
-
-void ClassicalSamplingRecognizer::reset(std::uint64_t seed) {
-  rng_ = util::Rng(seed);
-  a1_ = lang::StructureValidator();
-  a2_ = std::make_unique<fingerprint::EqualityChecker>(rng_.split());
-  in_prefix_ = true;
-  k_ = 0;
-  active_ = false;
-  m_ = 0;
-  rep_ = 0;
-  block_ = 0;
-  off_ = 0;
+void ClassicalSamplingRecognizer::reset_memory(std::uint64_t,
+                                               const util::Rng& rng) {
+  rng_ = rng;
   indices_.clear();
   xbits_.clear();
-  cursor_ = 0;
-  found_ = false;
+  cursor_pos_ = 0;
 }
 
 void ClassicalSamplingRecognizer::draw_indices() {
   indices_.clear();
-  for (std::uint64_t i = 0; i < budget_; ++i) indices_.push_back(rng_.below(m_));
+  for (std::uint64_t i = 0; i < budget_; ++i) {
+    indices_.push_back(rng_.below(cursor_.m));
+  }
   std::sort(indices_.begin(), indices_.end());
   indices_.erase(std::unique(indices_.begin(), indices_.end()), indices_.end());
   xbits_.assign(indices_.size(), false);
-  cursor_ = 0;
+  cursor_pos_ = 0;
 }
 
-void ClassicalSamplingRecognizer::feed(Symbol s) {
-  a1_.feed(s);
-  a2_->feed(s);
-  on_own_symbol(s);
-}
-
-void ClassicalSamplingRecognizer::on_own_symbol(Symbol s) {
-  if (in_prefix_) {
-    if (s == Symbol::kOne && k_ < 20) {
-      ++k_;
-      return;
-    }
-    in_prefix_ = false;
-    if (s == Symbol::kSep && k_ >= 1 && k_ <= 15) {
-      active_ = true;
-      m_ = std::uint64_t{1} << (2 * k_);
-      draw_indices();
-    }
-    return;
-  }
-  if (!active_) return;
-  if (s == Symbol::kSep) {
-    if (block_ == 2) {
-      ++rep_;
-      block_ = 0;
-      draw_indices();  // fresh sample each repetition
-    } else {
-      ++block_;
-      cursor_ = 0;
-    }
-    off_ = 0;
-    return;
-  }
-  const bool bit = (s == Symbol::kOne);
-  const std::uint64_t idx = off_++;
-  if (idx >= m_) return;
-  if (block_ == 0) {
-    while (cursor_ < indices_.size() && indices_[cursor_] < idx) ++cursor_;
-    if (cursor_ < indices_.size() && indices_[cursor_] == idx) {
-      xbits_[cursor_] = bit;
-    }
-  } else if (block_ == 1) {
-    while (cursor_ < indices_.size() && indices_[cursor_] < idx) ++cursor_;
-    if (cursor_ < indices_.size() && indices_[cursor_] == idx) {
-      if (bit && xbits_[cursor_]) found_ = true;
-    }
-  }
-}
-
-void ClassicalSamplingRecognizer::feed_chunk(std::span<const Symbol> chunk) {
-  a1_.feed_chunk(chunk);
-  a2_->feed_chunk(chunk);
-  drive_chunk(
-      chunk, in_prefix_, active_, [this](Symbol s) { on_own_symbol(s); },
-      [this](const Symbol* d, std::uint64_t len) { on_body_run(d, len); });
-}
-
-void ClassicalSamplingRecognizer::on_body_run(const Symbol* data,
-                                              std::uint64_t len) {
-  // The sorted sample turns a run into a cursor sweep: only sampled indices
-  // inside [start, end) are visited. The cursor lands one lower-bound step
-  // ahead of the per-symbol path's resting point, which is unobservable —
-  // it only ever advances monotonically until the next block boundary
-  // resets it.
-  const std::uint64_t start = off_;
-  off_ += len;
-  if (block_ >= 2) return;
-  const std::uint64_t end = std::min(start + len, m_);
-  if (start >= end) return;
-  while (cursor_ < indices_.size() && indices_[cursor_] < start) ++cursor_;
-  if (block_ == 0) {
-    while (cursor_ < indices_.size() && indices_[cursor_] < end) {
-      xbits_[cursor_] = data[indices_[cursor_] - start] == Symbol::kOne;
-      ++cursor_;
-    }
+void ClassicalSamplingRecognizer::on_separator(bool new_rep) {
+  if (new_rep) {
+    draw_indices();
   } else {
-    while (cursor_ < indices_.size() && indices_[cursor_] < end) {
-      if (data[indices_[cursor_] - start] == Symbol::kOne &&
-          xbits_[cursor_]) {
-        found_ = true;
-      }
-      ++cursor_;
+    cursor_pos_ = 0;
+  }
+}
+
+void ClassicalSamplingRecognizer::step_bit(std::uint64_t idx, bool bit) {
+  if (cursor_.block >= 2) return;
+  while (cursor_pos_ < indices_.size() && indices_[cursor_pos_] < idx) {
+    ++cursor_pos_;
+  }
+  if (cursor_pos_ == indices_.size() || indices_[cursor_pos_] != idx) return;
+  if (cursor_.block == 0) {
+    xbits_[cursor_pos_] = bit;
+  } else if (bit && xbits_[cursor_pos_]) {
+    found_ = true;
+  }
+}
+
+void ClassicalSamplingRecognizer::step_run(std::uint64_t start,
+                                           const Symbol* data,
+                                           std::uint64_t len) {
+  // Only sampled indices inside [start, end) are visited. The sweep lands
+  // one lower-bound step ahead of the per-symbol path's resting point, which
+  // is unobservable — it only ever advances monotonically until the next
+  // block boundary resets it.
+  if (cursor_.block >= 2) return;
+  const std::uint64_t end = start + len;
+  while (cursor_pos_ < indices_.size() && indices_[cursor_pos_] < start) {
+    ++cursor_pos_;
+  }
+  for (; cursor_pos_ < indices_.size() && indices_[cursor_pos_] < end;
+       ++cursor_pos_) {
+    const bool bit = data[indices_[cursor_pos_] - start] == Symbol::kOne;
+    if (cursor_.block == 0) {
+      xbits_[cursor_pos_] = bit;
+    } else if (bit && xbits_[cursor_pos_]) {
+      found_ = true;
     }
   }
 }
 
-bool ClassicalSamplingRecognizer::finish() {
-  if (!a1_.finish()) return false;
-  if (!a2_->passed()) return false;
-  return !found_;
-}
-
-machine::SpaceReport ClassicalSamplingRecognizer::space_used() const {
-  machine::SpaceReport r;
+std::uint64_t ClassicalSamplingRecognizer::memory_bits() const noexcept {
   // Each sampled index costs 2k bits plus 1 remembered bit of x.
-  const std::uint64_t per_sample = 2ULL * k_ + 1;
-  r.classical_bits = a1_.classical_bits_used() + a2_->classical_bits_used() +
-                     budget_ * per_sample + (2ULL * k_ + 1) + 4;
-  r.qubits = 0;
-  return r;
+  return budget_ * (2ULL * cursor_.k + 1) + cursor_.counter_bits();
 }
 
-std::vector<std::uint8_t> ClassicalSamplingRecognizer::snapshot() const {
-  util::serde::ByteWriter w;
-  machine::snapshot_header(w, kTagSampling);
+void ClassicalSamplingRecognizer::put_config(util::serde::ByteWriter& w) const {
   for (const std::uint64_t s : rng_.state()) w.u64(s);
   w.u64(budget_);
-  a1_.snapshot_to(w);
-  a2_->snapshot_to(w);
-  w.b(in_prefix_);
-  w.u32(k_);
-  w.b(active_);
-  w.u64(m_);
-  w.u64(rep_);
-  w.u32(block_);
-  w.u64(off_);
-  w.u64_vec(indices_);
-  w.u64(xbits_.size());
-  for (const bool bit : xbits_) w.b(bit);
-  w.u64(cursor_);
-  w.b(found_);
-  return w.take();
 }
 
-void ClassicalSamplingRecognizer::restore(std::span<const std::uint8_t> bytes) {
-  util::serde::ByteReader r(bytes);
-  machine::check_snapshot_header(r, kTagSampling, "classical-sample");
+void ClassicalSamplingRecognizer::get_config(util::serde::ByteReader& r) {
   std::array<std::uint64_t, 4> state;
   for (auto& s : state) s = r.u64();
   rng_.set_state(state);
   // budget is construction-time configuration; a snapshot from a
   // differently-budgeted recognizer is a caller error, not a state to adopt.
   if (r.u64() != budget_) {
-    throw util::serde::DecodeError("classical-sample: budget mismatch");
+    throw DecodeError("classical-sample: budget mismatch");
   }
-  a1_.restore_from(r);
-  a2_->restore_from(r);
-  in_prefix_ = r.b();
-  k_ = r.u32();
-  active_ = r.b();
-  m_ = r.u64();
-  rep_ = r.u64();
-  block_ = r.u32();
-  off_ = r.u64();
+}
+
+void ClassicalSamplingRecognizer::put_memory(util::serde::ByteWriter& w) const {
+  w.u64_vec(indices_);
+  w.u64(xbits_.size());
+  for (const bool bit : xbits_) w.b(bit);
+  w.u64(cursor_pos_);
+}
+
+void ClassicalSamplingRecognizer::get_memory(util::serde::ByteReader& r) {
   indices_ = r.u64_vec();
+  // A sample is at most budget distinct sorted indices inside [0, m) (none
+  // while inactive, where m = 0).
+  const bool sample_ok =
+      indices_.size() <= budget_ &&
+      std::adjacent_find(indices_.begin(), indices_.end(),
+                         std::greater_equal<>()) == indices_.end() &&
+      (indices_.empty() || indices_.back() < cursor_.m);
+  if (!sample_ok) {
+    throw DecodeError("classical-sample: sample outside the cursor's m");
+  }
   const std::uint64_t nbits = r.u64();
   if (nbits != indices_.size()) {
-    throw util::serde::DecodeError("classical-sample: sample size mismatch");
+    throw DecodeError("classical-sample: sample size mismatch");
   }
   xbits_.assign(static_cast<std::size_t>(nbits), false);
   for (std::size_t i = 0; i < xbits_.size(); ++i) xbits_[i] = r.b();
-  cursor_ = r.u64();
-  if (cursor_ > indices_.size()) {
-    throw util::serde::DecodeError("classical-sample: cursor out of range");
+  cursor_pos_ = r.u64();
+  if (cursor_pos_ > indices_.size()) {
+    throw DecodeError("classical-sample: cursor out of range");
   }
-  found_ = r.b();
-  r.expect_exhausted();
 }
 
 // ---------------------------------------------------------------------------
@@ -570,20 +444,10 @@ ClassicalBloomRecognizer::ClassicalBloomRecognizer(std::uint64_t seed,
   reset(seed);
 }
 
-void ClassicalBloomRecognizer::reset(std::uint64_t seed) {
+void ClassicalBloomRecognizer::reset_memory(std::uint64_t seed,
+                                            const util::Rng&) {
   seed_ = seed;
-  util::Rng rng(seed);
-  a1_ = lang::StructureValidator();
-  a2_ = std::make_unique<fingerprint::EqualityChecker>(rng.split());
-  in_prefix_ = true;
-  k_ = 0;
-  active_ = false;
-  m_ = 0;
-  rep_ = 0;
-  block_ = 0;
-  off_ = 0;
   filter_ = util::BitVec();
-  hit_ = false;
 }
 
 std::uint64_t ClassicalBloomRecognizer::hash(std::uint64_t index,
@@ -594,150 +458,67 @@ std::uint64_t ClassicalBloomRecognizer::hash(std::uint64_t index,
   return h.next() % filter_bits_;
 }
 
-void ClassicalBloomRecognizer::feed(Symbol s) {
-  a1_.feed(s);
-  a2_->feed(s);
-  on_own_symbol(s);
+void ClassicalBloomRecognizer::insert(std::uint64_t idx) {
+  for (unsigned h = 0; h < num_hashes_; ++h) filter_.set(hash(idx, h), true);
 }
 
-void ClassicalBloomRecognizer::on_own_symbol(Symbol s) {
-  if (in_prefix_) {
-    if (s == Symbol::kOne && k_ < 20) {
-      ++k_;
-      return;
-    }
-    in_prefix_ = false;
-    if (s == Symbol::kSep && k_ >= 1 && k_ <= 15) {
-      active_ = true;
-      m_ = std::uint64_t{1} << (2 * k_);
-      filter_ = util::BitVec(filter_bits_);
-    }
-    return;
+bool ClassicalBloomRecognizer::maybe_present(std::uint64_t idx) const {
+  for (unsigned h = 0; h < num_hashes_; ++h) {
+    if (!filter_.get(hash(idx, h))) return false;
   }
-  if (!active_) return;
-  if (s == Symbol::kSep) {
-    if (block_ == 2) {
-      ++rep_;
-      block_ = 0;
-    } else {
-      ++block_;
-    }
-    off_ = 0;
-    return;
+  return true;
+}
+
+void ClassicalBloomRecognizer::step_bit(std::uint64_t idx, bool bit) {
+  if (!bit || cursor_.rep != 0) return;  // the filter is built once
+  if (cursor_.block == 0) {
+    insert(idx);
+  } else if (cursor_.block == 1 && maybe_present(idx)) {
+    found_ = true;
   }
-  const bool bit = (s == Symbol::kOne);
-  const std::uint64_t idx = off_++;
-  if (idx >= m_ || rep_ != 0) return;  // the filter is built once
-  if (block_ == 0) {
-    if (bit) {
-      for (unsigned h = 0; h < num_hashes_; ++h) filter_.set(hash(idx, h), true);
-    }
-  } else if (block_ == 1) {
-    if (bit) {
-      bool all = true;
-      for (unsigned h = 0; h < num_hashes_; ++h) {
-        if (!filter_.get(hash(idx, h))) {
-          all = false;
-          break;
-        }
-      }
-      if (all) hit_ = true;
+}
+
+void ClassicalBloomRecognizer::step_run(std::uint64_t start,
+                                        const Symbol* data,
+                                        std::uint64_t len) {
+  if (cursor_.rep != 0 || cursor_.block == 2) return;
+  for (std::uint64_t i = 0; i < len; ++i) {
+    if (data[i] != Symbol::kOne) continue;
+    if (cursor_.block == 0) {
+      insert(start + i);
+    } else if (maybe_present(start + i)) {
+      found_ = true;
     }
   }
 }
 
-void ClassicalBloomRecognizer::feed_chunk(std::span<const Symbol> chunk) {
-  a1_.feed_chunk(chunk);
-  a2_->feed_chunk(chunk);
-  drive_chunk(
-      chunk, in_prefix_, active_, [this](Symbol s) { on_own_symbol(s); },
-      [this](const Symbol* d, std::uint64_t len) { on_body_run(d, len); });
-}
-
-void ClassicalBloomRecognizer::on_body_run(const Symbol* data,
-                                           std::uint64_t len) {
-  // The filter is built (block 0) and probed (block 1) in repetition 0
-  // only, and only one-bits hash — later repetitions cost nothing.
-  const std::uint64_t start = off_;
-  off_ += len;
-  if (rep_ != 0) return;
-  const std::uint64_t hi = std::min(start + len, m_);
-  if (block_ == 0) {
-    for (std::uint64_t idx = start; idx < hi; ++idx) {
-      if (data[idx - start] != Symbol::kOne) continue;
-      for (unsigned h = 0; h < num_hashes_; ++h) filter_.set(hash(idx, h), true);
-    }
-  } else if (block_ == 1) {
-    for (std::uint64_t idx = start; idx < hi; ++idx) {
-      if (data[idx - start] != Symbol::kOne) continue;
-      bool all = true;
-      for (unsigned h = 0; h < num_hashes_; ++h) {
-        if (!filter_.get(hash(idx, h))) {
-          all = false;
-          break;
-        }
-      }
-      if (all) hit_ = true;
-    }
-  }
-}
-
-bool ClassicalBloomRecognizer::finish() {
-  if (!a1_.finish()) return false;
-  if (!a2_->passed()) return false;
-  return !hit_;
-}
-
-machine::SpaceReport ClassicalBloomRecognizer::space_used() const {
-  machine::SpaceReport r;
-  r.classical_bits = a1_.classical_bits_used() + a2_->classical_bits_used() +
-                     filter_.size() + (2ULL * k_ + 1) + 4;
-  r.qubits = 0;
-  return r;
-}
-
-std::vector<std::uint8_t> ClassicalBloomRecognizer::snapshot() const {
-  util::serde::ByteWriter w;
-  machine::snapshot_header(w, kTagBloom);
+void ClassicalBloomRecognizer::put_config(util::serde::ByteWriter& w) const {
   w.u64(seed_);
   w.u64(filter_bits_);
   w.u32(num_hashes_);
-  a1_.snapshot_to(w);
-  a2_->snapshot_to(w);
-  w.b(in_prefix_);
-  w.u32(k_);
-  w.b(active_);
-  w.u64(m_);
-  w.u64(rep_);
-  w.u32(block_);
-  w.u64(off_);
-  put_bitvec(w, filter_);
-  w.b(hit_);
-  return w.take();
 }
 
-void ClassicalBloomRecognizer::restore(std::span<const std::uint8_t> bytes) {
-  util::serde::ByteReader r(bytes);
-  machine::check_snapshot_header(r, kTagBloom, "classical-bloom");
+void ClassicalBloomRecognizer::get_config(util::serde::ByteReader& r) {
   // seed_ travels with the snapshot (the filter's contents hash under it);
   // the filter geometry is construction-time configuration and must match.
   const std::uint64_t seed = r.u64();
   if (r.u64() != filter_bits_ || r.u32() != num_hashes_) {
-    throw util::serde::DecodeError("classical-bloom: filter geometry mismatch");
+    throw DecodeError("classical-bloom: filter geometry mismatch");
   }
   seed_ = seed;
-  a1_.restore_from(r);
-  a2_->restore_from(r);
-  in_prefix_ = r.b();
-  k_ = r.u32();
-  active_ = r.b();
-  m_ = r.u64();
-  rep_ = r.u64();
-  block_ = r.u32();
-  off_ = r.u64();
-  filter_ = get_bitvec(r);
-  hit_ = r.b();
-  r.expect_exhausted();
 }
+
+void ClassicalBloomRecognizer::put_memory(util::serde::ByteWriter& w) const {
+  put_bitvec(w, filter_);
+}
+
+void ClassicalBloomRecognizer::get_memory(util::serde::ByteReader& r) {
+  filter_ = get_bitvec(r, cursor_.active ? filter_bits_ : 0, kName);
+}
+
+template class ClassicalMachine<ClassicalBlockRecognizer>;
+template class ClassicalMachine<ClassicalFullRecognizer>;
+template class ClassicalMachine<ClassicalSamplingRecognizer>;
+template class ClassicalMachine<ClassicalBloomRecognizer>;
 
 }  // namespace qols::core

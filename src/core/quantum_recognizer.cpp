@@ -13,24 +13,21 @@ QuantumOnlineRecognizer::QuantumOnlineRecognizer(std::uint64_t seed,
 
 void QuantumOnlineRecognizer::reset(std::uint64_t seed) {
   util::Rng rng(seed);
-  a1_ = lang::StructureValidator();
   // Independent child generators: A2's evaluation point and A3's iteration
   // count / measurement must not be correlated.
-  a2_ = std::make_unique<fingerprint::EqualityChecker>(rng.split());
+  front_.reset(rng);
   a3_ = std::make_unique<GroverStreamer>(rng.split(), opts_.a3);
   finished_ = false;
 }
 
 void QuantumOnlineRecognizer::feed(stream::Symbol s) {
-  a1_.feed(s);
-  a2_->feed(s);
+  front_.feed(s);
   a3_->feed(s);
 }
 
 void QuantumOnlineRecognizer::feed_chunk(
     std::span<const stream::Symbol> chunk) {
-  a1_.feed_chunk(chunk);
-  a2_->feed_chunk(chunk);
+  front_.feed_chunk(chunk);
   a3_->feed_chunk(chunk);
 }
 
@@ -38,8 +35,7 @@ bool QuantumOnlineRecognizer::finish() { return verdict() == Verdict::kAccept; }
 
 QuantumOnlineRecognizer::Verdict QuantumOnlineRecognizer::verdict() {
   finished_ = true;
-  if (!a1_.finish()) return Verdict::kReject;
-  if (!a2_->passed()) return Verdict::kReject;
+  if (!front_.passed()) return Verdict::kReject;
   const int out = a3_->finish_output();
   if (out == GroverStreamer::kNotSimulated) return Verdict::kNotSimulated;
   return out == 1 ? Verdict::kAccept : Verdict::kReject;
@@ -47,8 +43,7 @@ QuantumOnlineRecognizer::Verdict QuantumOnlineRecognizer::verdict() {
 
 double QuantumOnlineRecognizer::exact_acceptance_probability() {
   finished_ = true;
-  if (!a1_.finish()) return 0.0;
-  if (!a2_->passed()) return 0.0;
+  if (!front_.passed()) return 0.0;
   // Consistent with verdict()/finish(): a run whose register could not be
   // simulated contributes no acceptance mass (an un-run A3 must not read as
   // a certain accept).
@@ -58,8 +53,8 @@ double QuantumOnlineRecognizer::exact_acceptance_probability() {
 
 machine::SpaceReport QuantumOnlineRecognizer::space_used() const {
   machine::SpaceReport r;
-  r.classical_bits = a1_.classical_bits_used() + a2_->classical_bits_used() +
-                     a3_->classical_bits_used();
+  r.classical_bits =
+      front_.classical_bits_used() + a3_->classical_bits_used();
   r.qubits = a3_->qubits_used() + a3_->ancilla_qubits_used();
   return r;
 }
@@ -68,8 +63,7 @@ std::vector<std::uint8_t> QuantumOnlineRecognizer::snapshot() const {
   util::serde::ByteWriter w;
   machine::snapshot_header(w, /*kind_tag=*/5);
   try {
-    a1_.snapshot_to(w);
-    a2_->snapshot_to(w);
+    front_.snapshot_to(w);
     a3_->snapshot_to(w);
   } catch (const backend::UnsupportedOperation& e) {
     // Translate the backend-layer refusal (gate-level mode, or a backend
@@ -83,8 +77,7 @@ std::vector<std::uint8_t> QuantumOnlineRecognizer::snapshot() const {
 void QuantumOnlineRecognizer::restore(std::span<const std::uint8_t> bytes) {
   util::serde::ByteReader r(bytes);
   machine::check_snapshot_header(r, /*kind_tag=*/5, "quantum");
-  a1_.restore_from(r);
-  a2_->restore_from(r);
+  front_.restore_from(r);
   try {
     a3_->restore_from(r);
   } catch (const backend::UnsupportedOperation& e) {

@@ -19,6 +19,11 @@ namespace qols::server {
 
 namespace {
 
+constexpr int kListenBacklog = 256;
+/// recv() chunk size. A connection reads up to kReadChunk per pool thread
+/// before its frames are pumped (Server::read_ahead_).
+constexpr std::size_t kReadChunk = std::size_t{1} << 16;
+
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
 }
@@ -55,14 +60,13 @@ std::uint64_t Server::now_ms() noexcept {
 }
 
 Server::Server(const Config& config)
-    : config_(config), read_buf_(config.read_chunk) {
-  read_ahead_ = config_.read_chunk *
+    : config_(config), read_buf_(kReadChunk) {
+  read_ahead_ = kReadChunk *
                 (config_.pool != nullptr ? *config_.pool
                                          : util::ThreadPool::global())
                     .thread_count();
   service::RecognizerService::Config svc_cfg;
   svc_cfg.spec = config_.spec;
-  svc_cfg.flush_threshold = config_.flush_threshold;
   svc_cfg.pool = config_.pool;
   svc_cfg.spill_dir = config_.spill_dir;
   svc_cfg.durable = config_.durable;
@@ -122,7 +126,7 @@ Server::Server(const Config& config)
              sizeof(addr)) < 0) {
     throw_errno("bind");
   }
-  if (::listen(listen_fd_, config_.backlog) < 0) throw_errno("listen");
+  if (::listen(listen_fd_, kListenBacklog) < 0) throw_errno("listen");
 
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);

@@ -143,7 +143,7 @@ RecognizerService::RecognizerService(Config config)
       pending_recovery_ = true;
     } else {
       table_ = std::make_unique<SessionTable>(
-          SessionTable::Options{spill_dir_, config_.manifest_sync_every});
+          SessionTable::Options{.dir = spill_dir_});
     }
   }
 }
@@ -589,7 +589,7 @@ RecognizerService::RecoveryReport RecognizerService::recover() {
   }
   pending_recovery_ = false;
   table_ = std::make_unique<SessionTable>(
-      SessionTable::Options{spill_dir_, config_.manifest_sync_every});
+      SessionTable::Options{.dir = spill_dir_});
   // Compact to the adopted view: lost sessions drop out of the journal, and
   // replaying the recovered journal reproduces exactly this table.
   table_->compact(live_view());

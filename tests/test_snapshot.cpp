@@ -4,6 +4,7 @@
 // rejected with typed errors instead of corrupting state.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 #include "qols/lang/ldisj_instance.hpp"
 #include "qols/machine/online_recognizer.hpp"
 #include "qols/service/recognizer_service.hpp"
+#include "qols/util/crc32.hpp"
 #include "qols/util/serde.hpp"
 
 namespace {
@@ -184,6 +186,154 @@ TEST(SnapshotCodec, RejectsMalformedByteStrings) {
     auto bad = good;
     bad.push_back(0);  // trailing bytes
     rejects(bad);
+  }
+}
+
+/// Rewrites the u32/u64 field at `at` in place (the codec is little-endian).
+void poke(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v,
+          int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+TEST(SnapshotCodec, RejectsGeometryThatDisagreesWithTheCursor) {
+  // A restored cursor that claims a k, m or block the machine cannot be in,
+  // or a buffer whose size disagrees with that geometry, is a typed decode
+  // error. Accepting it would let the next data bit index past the buffer.
+  // Every snapshot is taken after "111#0" (k = 3, m = 64, one x bit read);
+  // the cursor (in_prefix, k, active, m, [2^k for block], rep, block, off)
+  // sits right before the kind's memory tail.
+  const std::vector<Symbol> word = {Symbol::kOne, Symbol::kOne, Symbol::kOne,
+                                    Symbol::kSep, Symbol::kZero};
+  struct Case {
+    RecognizerKind kind;
+    std::size_t tail;         // bytes after the cursor
+    std::size_t cursor_size;  // 34, or 42 with block's 2^k slot
+  };
+  // Block/full/bloom tails: a one-word bit vector (u64 size, u64 count, one
+  // word) plus the found flag. Sampling at budget 1: one index (u64 count,
+  // one u64), u64 nbits, one bit, u64 cursor, found.
+  for (const Case c : {Case{RecognizerKind::kClassicalBlock, 25, 42},
+                       Case{RecognizerKind::kClassicalFull, 25, 34},
+                       Case{RecognizerKind::kClassicalSampling, 34, 34},
+                       Case{RecognizerKind::kClassicalBloom, 25, 34}}) {
+    RecognizerSpec spec;
+    spec.kind = c.kind;
+    spec.sampling_budget = 1;
+    auto rec = spec.make(11);
+    for (const Symbol s : word) rec->feed(s);
+    const std::vector<std::uint8_t> good = rec->snapshot();
+    const std::string who = qols::service::recognizer_kind_name(c.kind);
+    ASSERT_GT(good.size(), c.tail + c.cursor_size) << who;
+    const std::size_t cur = good.size() - c.tail - c.cursor_size;
+    const std::size_t at_k = cur + 1;
+    const std::size_t at_m = cur + 6;
+    const std::size_t at_block = cur + c.cursor_size - 12;
+    ASSERT_EQ(good[cur], 0) << who;       // in_prefix
+    ASSERT_EQ(good[at_k], 3) << who;      // k
+    ASSERT_EQ(good[cur + 5], 1) << who;   // active
+    ASSERT_EQ(good[at_m], 64) << who;     // m = 2^{2k}
+
+    const auto rejects = [&](const std::vector<std::uint8_t>& bytes,
+                             const char* what) {
+      auto fresh = spec.make(1);
+      EXPECT_THROW(fresh->restore(bytes), DecodeError) << who << ": " << what;
+      // A failed restore leaves no half-restored state behind: feeding the
+      // same instance on must stay in bounds and decide like a fresh one.
+      for (const Symbol s : word) fresh->feed(s);
+      auto reference = spec.make(0);
+      for (const Symbol s : word) reference->feed(s);
+      EXPECT_EQ(finish_outcome(*fresh), finish_outcome(*reference))
+          << who << ": " << what;
+    };
+    {
+      auto fresh = spec.make(1);
+      EXPECT_NO_THROW(fresh->restore(good)) << who;
+    }
+    {
+      auto bad = good;
+      poke(bad, at_m, 63, 8);
+      rejects(bad, "m != 2^{2k}");
+    }
+    {
+      // One past the kind's k ceiling (12 for full, 15 otherwise), with m
+      // and block's 2^k slot kept consistent with the claimed k.
+      const unsigned k = c.kind == RecognizerKind::kClassicalFull ? 13 : 16;
+      auto bad = good;
+      poke(bad, at_k, k, 4);
+      poke(bad, at_m, std::uint64_t{1} << (2 * k), 8);
+      if (c.cursor_size == 42) poke(bad, cur + 14, std::uint64_t{1} << k, 8);
+      rejects(bad, "k above the ceiling");
+    }
+    {
+      auto bad = good;
+      poke(bad, at_k, 0, 4);
+      poke(bad, at_m, 1, 8);
+      if (c.cursor_size == 42) poke(bad, cur + 14, 1, 8);
+      rejects(bad, "active with k = 0");
+    }
+    {
+      auto bad = good;
+      poke(bad, at_block, 3, 4);
+      rejects(bad, "block > 2");
+    }
+    if (c.kind == RecognizerKind::kClassicalBlock ||
+        c.kind == RecognizerKind::kClassicalFull) {
+      // A smaller k, self-consistent in the cursor, against the buffer k = 3
+      // sized: only the memory check can catch it. (Bloom's filter is sized
+      // by its configuration and sampling's by its budget, not by k.)
+      auto bad = good;
+      poke(bad, at_k, 2, 4);
+      poke(bad, at_m, 16, 8);
+      if (c.cursor_size == 42) poke(bad, cur + 14, 4, 8);
+      rejects(bad, "buffer sized for another k");
+    }
+    if (c.cursor_size == 42) {
+      auto bad = good;
+      poke(bad, cur + 14, 16, 8);
+      rejects(bad, "block length != 2^k");
+    }
+    if (c.kind == RecognizerKind::kClassicalSampling) {
+      auto bad = good;
+      poke(bad, good.size() - c.tail + 8, 64, 8);  // the one index, = m
+      rejects(bad, "sampled index outside [0, m)");
+    } else {
+      // The repro: the bit-vector tail replaced by an empty one.
+      auto bad = std::vector<std::uint8_t>(good.begin(),
+                                           good.end() - c.tail);
+      bad.resize(bad.size() + 16, 0);  // u64 size 0, u64 word count 0
+      bad.push_back(0);                // found
+      rejects(bad, "empty buffer");
+    }
+  }
+}
+
+TEST(SnapshotCodec, LayoutIsPinnedAcrossBuilds) {
+  // Spill files and durable manifests written by one build are restored by
+  // the next, so a serializer rewrite must reproduce every byte. One CRC per
+  // kind over a mid-word snapshot (k = 2, one intersection, chunked feed).
+  qols::util::Rng rng(92);
+  const auto word =
+      word_of(qols::lang::LDisjInstance::make_with_intersections(2, 1, rng));
+  const std::size_t cut = word.size() / 2 + 1;
+  ASSERT_NE(word[cut - 1], Symbol::kSep);
+  struct Pin {
+    RecognizerKind kind;
+    std::uint32_t crc;
+  };
+  for (const Pin pin : {Pin{RecognizerKind::kClassicalBlock, 1928630032u},
+                        Pin{RecognizerKind::kClassicalFull, 2851113574u},
+                        Pin{RecognizerKind::kClassicalSampling, 284420118u},
+                        Pin{RecognizerKind::kClassicalBloom, 587267973u},
+                        Pin{RecognizerKind::kQuantum, 708499512u}}) {
+    RecognizerSpec spec;
+    spec.kind = pin.kind;
+    spec.backend = "dense";
+    auto rec = spec.make(4242);
+    rec->feed_chunk(std::span<const Symbol>(word.data(), cut));
+    EXPECT_EQ(qols::util::crc32(rec->snapshot()), pin.crc)
+        << qols::service::recognizer_kind_name(pin.kind);
   }
 }
 
