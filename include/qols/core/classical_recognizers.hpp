@@ -19,49 +19,17 @@
 #include <vector>
 
 #include "qols/core/validator_front.hpp"
+#include "qols/lang/block_cursor.hpp"
 #include "qols/machine/online_recognizer.hpp"
 #include "qols/util/bitvec.hpp"
 #include "qols/util/rng.hpp"
 
 namespace qols::core {
 
-/// Where a classical machine stands in `1^k # x # y # z # ...`: the prefix
-/// parser (count 1s up to 20; activate on the closing '#' when 1 <= k <=
-/// the machine's ceiling) and, once active, the repetition, the block
-/// (0 = x, 1 = y, 2 = z) and the offset inside it. An inactive machine
-/// ignores the body; A1 decides such words.
-struct BlockCursor {
-  bool in_prefix = true;
-  unsigned k = 0;
-  bool active = false;
-  std::uint64_t m = 0;  // 2^{2k} once active
-  std::uint64_t rep = 0;
-  unsigned block = 0;
-  std::uint64_t off = 0;
-
-  /// Consumes one prefix symbol; true iff it activated the cursor.
-  bool step_prefix(stream::Symbol s, unsigned max_k) noexcept;
-  /// Consumes one body separator; true iff it opened a new repetition.
-  bool step_separator() noexcept;
-
-  /// 2^k while active (Proposition 3.7's block length), else 0.
-  std::uint64_t block_len() const noexcept {
-    return active ? std::uint64_t{1} << k : 0;
-  }
-  /// The offset counter (2k+1 bits) plus 4 control bits.
-  std::uint64_t counter_bits() const noexcept { return 2ULL * k + 1 + 4; }
-
-  /// `block_len_slot` writes block_len() after m: classical-block's layout.
-  void snapshot_to(util::serde::ByteWriter& w, bool block_len_slot) const;
-  /// Throws util::serde::DecodeError, naming `who`, on a state the parser
-  /// cannot reach: k above 20, an active cursor still in the prefix or with
-  /// k outside [1, max_k] or m != 2^{2k}, an inactive one that moved, a
-  /// block above 2, or a block_len slot != block_len().
-  void restore_from(util::serde::ByteReader& r, unsigned max_k,
-                    bool block_len_slot, const char* who);
-};
-
-/// The shared classical machine. Strategy (CRTP) supplies:
+/// The shared classical machine: the front, a lang::BlockCursor walking the
+/// word (prefix activation for 1 <= k <= kMaxK; bits past m advance the
+/// offset and reach no memory, since A1 rejects the word) and the found flag.
+/// Strategy (CRTP) supplies:
 ///   kTag, kName, kMaxK             snapshot kind tag, name(), k ceiling
 ///   reset_memory(seed, rng)        rng is the reset Rng after A2's split
 ///   activate()                     size the memory once k is known
@@ -70,14 +38,15 @@ struct BlockCursor {
 ///   memory_bits()                  its space, counters included
 ///   put_memory(w) / get_memory(r)  its memory after the cursor; get_memory
 ///                                  rejects a size the cursor disagrees with
-/// and may hide on_separator(new_rep), put_config/get_config (fields before
-/// A1) and kBlockLenSlot. feed() steps one symbol at a time and is the
-/// reference the chunked path must match bit for bit.
+/// and may hide on_block_end() (at each '#', before the cursor steps),
+/// put_config/get_config (fields before A1) and kBlockLenSlot. feed() steps
+/// one symbol at a time and is the reference the chunked path must match bit
+/// for bit.
 template <typename Strategy>
 class ClassicalMachine : public machine::OnlineRecognizer {
  public:
   void feed(stream::Symbol s) final;
-  /// A1/A2 consume the chunk in bulk; the skeleton then walks the prefix and
+  /// A1/A2 consume the chunk in bulk; the cursor then walks the prefix and
   /// separators per symbol and hands each data run to step_run() once.
   void feed_chunk(std::span<const stream::Symbol> chunk) final;
   /// A1 ∧ A2 ∧ no intersection found.
@@ -92,21 +61,32 @@ class ClassicalMachine : public machine::OnlineRecognizer {
 
  protected:
   static constexpr bool kBlockLenSlot = false;
-  void on_separator(bool /*new_rep*/) {}
+  void on_block_end() {}
   void put_config(util::serde::ByteWriter& /*w*/) const {}
   void get_config(util::serde::ByteReader& /*r*/) {}
 
   ValidatorFront front_;
-  BlockCursor cursor_;
+  lang::BlockCursor cursor_;
   bool found_ = false;
 
  private:
+  friend struct lang::BlockCursor;
   Strategy& self() noexcept { return static_cast<Strategy&>(*this); }
   const Strategy& self() const noexcept {
     return static_cast<const Strategy&>(*this);
   }
-  void on_own_symbol(stream::Symbol s);
-  void on_data_run(const stream::Symbol* data, std::uint64_t len);
+  // The cursor's hooks.
+  bool on_activate() {
+    self().activate();
+    return true;
+  }
+  void on_separator() { self().on_block_end(); }
+  void on_bit(std::uint64_t idx, bool bit) { self().step_bit(idx, bit); }
+  void on_run(std::uint64_t start, const stream::Symbol* data,
+              std::uint64_t len) {
+    self().step_run(start, data, len);
+  }
+  void on_overlong() {}
 };
 
 /// Proposition 3.7: in repetition i the machine buffers block [x]_i (the
@@ -196,7 +176,7 @@ class ClassicalSamplingRecognizer final
   void reset_memory(std::uint64_t, const util::Rng& rng);
   void activate() { draw_indices(); }
   /// A fresh sample each repetition; a new block restarts the sweep.
-  void on_separator(bool new_rep);
+  void on_block_end();
   void draw_indices();
   void step_bit(std::uint64_t idx, bool bit);
   void step_run(std::uint64_t start, const stream::Symbol* data,

@@ -14,11 +14,15 @@
 // Register layout: qubits [0, 2k) = index register, qubit 2k = h (the oracle
 // workspace), qubit 2k+1 = l (the AND result R_y writes). Each streamed bit
 // fixes the *entire* index register, so its gate touches O(1) amplitudes and
-// the per-symbol cost of the simulation is constant. A run of data bits
-// between separators addresses consecutive indices, so feed_chunk hands the
-// whole run to the backend as one call (QuantumBackend::apply_on_index_run):
-// on the dense register that is one masked sequential pass per run instead
-// of a call per 1-bit.
+// the per-symbol cost of the simulation is constant.
+//
+// A3 is a lang::BlockCursor plus its hooks: activation (the backend or
+// not_simulated(), j, the H preparation, the gate builder), the oracle per
+// data run, and at each '#' the diffusion, stopping after step 4's y-block
+// or at a block's first bit past m (A1 rejects that word). A data run
+// addresses consecutive indices, so it reaches the backend as one call
+// (QuantumBackend::apply_on_index_run): on the dense register one masked
+// sequential pass per run instead of a call per 1-bit.
 //
 // Simulation runs through a pluggable backend::QuantumBackend chosen per
 // instance (see qols/backend/registry.hpp): the dense StateVector while
@@ -43,6 +47,7 @@
 
 #include "qols/backend/quantum_backend.hpp"
 #include "qols/gates/builder.hpp"
+#include "qols/lang/block_cursor.hpp"
 #include "qols/stream/symbol_stream.hpp"
 #include "qols/util/rng.hpp"
 
@@ -87,11 +92,12 @@ class GroverStreamer {
   void feed(stream::Symbol s);
 
   /// Consumes a run of symbols; identical register evolution, RNG
-  /// consumption and gates_applied() to per-symbol feeding. The chunk is
-  /// split at separators, and each data run (clipped at the block's end) is
-  /// one apply_on_index_run call over the whole run -- the per-symbol path
-  /// is the same call on runs of one byte. The post-measurement tail is
-  /// ignored wholesale. Gate-level mode (a gate sink) stays bit by bit.
+  /// consumption, gates_applied() and gate tape to per-symbol feeding. The
+  /// chunk is split at separators, and each data run (clipped at the block's
+  /// end) is one apply_on_index_run call over the whole run -- the
+  /// per-symbol path is the same call on runs of one byte. The
+  /// post-measurement tail is ignored wholesale. Gate-level mode lowers the
+  /// run's 1-bits one at a time.
   void feed_chunk(std::span<const stream::Symbol> chunk);
 
   /// A3's output: 1 if the measured ancilla was 0 ("looks disjoint"),
@@ -110,12 +116,12 @@ class GroverStreamer {
 
   /// The Grover iteration count drawn in step 2 (after the prefix is read).
   std::optional<std::uint64_t> chosen_j() const noexcept {
-    return active_ ? std::optional<std::uint64_t>(j_) : std::nullopt;
+    return cursor_.active ? std::optional<std::uint64_t>(j_) : std::nullopt;
   }
 
   /// Qubits of the data register (2k+2), excluding compiler ancillas.
   std::uint64_t qubits_used() const noexcept {
-    return active_ ? 2ULL * k_ + 2 : 0;
+    return cursor_.active ? 2ULL * cursor_.k + 2 : 0;
   }
   /// Compiler ancillas on top (gate-level mode only).
   std::uint64_t ancilla_qubits_used() const noexcept;
@@ -145,6 +151,9 @@ class GroverStreamer {
   /// Inverse of snapshot_to on a freshly constructed streamer; rebuilds the
   /// backend from its recorded id/precision and restores its register
   /// bit-identically. Refuses when this streamer has a gate sink configured.
+  /// Throws util::serde::DecodeError on a state A3 cannot reach (the
+  /// cursor's check, off > m, j >= 2^k, rep > j, a backend on an inactive
+  /// cursor), leaving the streamer half restored for its owner to reset.
   void restore_from(util::serde::ByteReader& r);
 
   /// The simulating backend, or nullptr (not simulating / not yet active).
@@ -159,10 +168,14 @@ class GroverStreamer {
   }
 
  private:
-  void on_bit(bool bit);
-  /// A run of data bits of the current block (no separator).
-  void on_run(std::span<const stream::Symbol> run);
-  void on_sep();
+  friend struct lang::BlockCursor;
+  // The cursor's hooks.
+  bool on_activate();
+  void on_separator();
+  void on_bit(std::uint64_t idx, bool bit);
+  void on_run(std::uint64_t start, const stream::Symbol* data,
+              std::uint64_t len);
+  void on_overlong() noexcept { cursor_.stopped = true; }
   /// The oracle the current block applies per 1-bit; none in step 4's
   /// z-block.
   std::optional<backend::IndexOp> block_op() const noexcept;
@@ -175,17 +188,9 @@ class GroverStreamer {
   util::Rng rng_;
   Options opts_;
 
-  bool in_prefix_ = true;
-  unsigned k_ = 0;
-  bool active_ = false;   // simulating (shape plausible, k within range)
+  lang::BlockCursor cursor_;  // active = simulating; stopped = ignore the rest
   bool overflow_ = false; // k exceeded every ceiling: cannot simulate honestly
-
-  std::uint64_t m_ = 0;     // 2^{2k}
-  std::uint64_t j_ = 0;     // Grover iterations to run
-  std::uint64_t rep_ = 0;   // 0-based repetition index
-  unsigned block_ = 0;      // 0 = x, 1 = y, 2 = z
-  std::uint64_t off_ = 0;   // offset within the current block
-  bool done_ = false;       // step 4 finished; ignore the rest
+  std::uint64_t j_ = 0;   // Grover iterations to run
   std::uint64_t gates_applied_ = 0;  // telemetry only; never serialized
 
   std::unique_ptr<backend::QuantumBackend> backend_;

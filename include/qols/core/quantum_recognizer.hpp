@@ -58,6 +58,8 @@ class QuantumOnlineRecognizer final : public machine::OnlineRecognizer {
   /// backend's serialize_state). Gate-level mode refuses
   /// (machine::UnsupportedSnapshot): the external sink's tape cannot travel.
   std::vector<std::uint8_t> snapshot() const override;
+  /// On any error (util::serde::DecodeError, machine::UnsupportedSnapshot)
+  /// the recognizer is left reset (seed 0), never half restored.
   void restore(std::span<const std::uint8_t> bytes) override;
 
   /// The explicit three-valued decision; finish() maps kNotSimulated to

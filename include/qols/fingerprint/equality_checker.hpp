@@ -77,8 +77,9 @@ class EqualityChecker {
   unsigned field_exponent_;
   bool failed_ = false;
 
-  // Prefix parsing (duplicates A1's tiny counter; the procedures run in
-  // parallel on the same stream and may not share tape cells).
+  // Prefix parsing. Not a lang::BlockCursor: A2 caps k at 15 and activates
+  // only when q*k <= 60, so at 16 <= k <= 20 it fingerprints with k = 15's
+  // prime; a cursor would count the real k there and change its verdicts.
   bool in_prefix_ = true;
   unsigned k_ = 0;
   bool active_ = false;

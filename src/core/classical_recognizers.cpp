@@ -13,9 +13,6 @@ using util::serde::DecodeError;
 
 namespace {
 
-// The prefix counter stops here; longer prefixes end inactive.
-constexpr unsigned kPrefixCeiling = 20;
-
 void put_bitvec(util::serde::ByteWriter& w, const util::BitVec& v) {
   w.u64(v.size());
   w.u64_vec(v.words());
@@ -42,66 +39,6 @@ util::BitVec get_bitvec(util::serde::ByteReader& r, std::uint64_t expected,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// BlockCursor
-// ---------------------------------------------------------------------------
-
-bool BlockCursor::step_prefix(Symbol s, unsigned max_k) noexcept {
-  if (s == Symbol::kOne && k < kPrefixCeiling) {
-    ++k;
-    return false;
-  }
-  in_prefix = false;
-  if (s != Symbol::kSep || k < 1 || k > max_k) return false;
-  active = true;
-  m = std::uint64_t{1} << (2 * k);
-  return true;
-}
-
-bool BlockCursor::step_separator() noexcept {
-  off = 0;
-  if (block == 2) {
-    ++rep;
-    block = 0;
-    return true;
-  }
-  ++block;
-  return false;
-}
-
-void BlockCursor::snapshot_to(util::serde::ByteWriter& w,
-                              bool block_len_slot) const {
-  w.b(in_prefix);
-  w.u32(k);
-  w.b(active);
-  w.u64(m);
-  if (block_len_slot) w.u64(block_len());
-  w.u64(rep);
-  w.u32(block);
-  w.u64(off);
-}
-
-void BlockCursor::restore_from(util::serde::ByteReader& r, unsigned max_k,
-                               bool block_len_slot, const char* who) {
-  in_prefix = r.b();
-  k = r.u32();
-  active = r.b();
-  m = r.u64();
-  const std::uint64_t len = block_len_slot ? r.u64() : 0;
-  rep = r.u64();
-  block = r.u32();
-  off = r.u64();
-  const bool reachable =
-      k <= kPrefixCeiling && block <= 2 &&
-      (active ? !in_prefix && k >= 1 && k <= max_k &&
-                    m == std::uint64_t{1} << (2 * k)
-              : (m | rep | block | off) == 0) &&
-      (!block_len_slot || len == block_len());
-  if (!reachable) {
-    throw DecodeError(std::string(who) + ": cursor geometry out of range");
-  }
-}
-
-// ---------------------------------------------------------------------------
 // ClassicalMachine: the front, the cursor and the found flag
 // ---------------------------------------------------------------------------
 
@@ -109,7 +46,7 @@ template <typename S>
 void ClassicalMachine<S>::reset(std::uint64_t seed) {
   util::Rng rng(seed);
   front_.reset(rng);
-  cursor_ = BlockCursor{};
+  cursor_ = lang::BlockCursor{};
   found_ = false;
   self().reset_memory(seed, rng);
 }
@@ -117,57 +54,13 @@ void ClassicalMachine<S>::reset(std::uint64_t seed) {
 template <typename S>
 void ClassicalMachine<S>::feed(Symbol s) {
   front_.feed(s);
-  on_own_symbol(s);
-}
-
-template <typename S>
-void ClassicalMachine<S>::on_own_symbol(Symbol s) {
-  if (cursor_.in_prefix) {
-    if (cursor_.step_prefix(s, S::kMaxK)) self().activate();
-    return;
-  }
-  if (!cursor_.active) return;
-  if (s == Symbol::kSep) {
-    self().on_separator(cursor_.step_separator());
-    return;
-  }
-  const std::uint64_t idx = cursor_.off++;
-  if (idx < cursor_.m) self().step_bit(idx, s == Symbol::kOne);
-}
-
-template <typename S>
-void ClassicalMachine<S>::on_data_run(const Symbol* data, std::uint64_t len) {
-  // Bit-identical to len step_bit calls: the offset always advances, and
-  // the strategy sees only the part of the run inside [0, m) — bits past
-  // the block's end belong to a malformed word that A1 rejects.
-  const std::uint64_t start = cursor_.off;
-  cursor_.off += len;
-  if (start >= cursor_.m) return;
-  self().step_run(start, data, std::min(len, cursor_.m - start));
+  cursor_.step(s, S::kMaxK, *this);
 }
 
 template <typename S>
 void ClassicalMachine<S>::feed_chunk(std::span<const Symbol> chunk) {
   front_.feed_chunk(chunk);
-  // The skeleton's chunk loop (A1/A2 consumed the chunk above, in bulk):
-  // per symbol through the prefix, then the body split into separators
-  // (rare, per symbol) and data runs (one step_run each). Every state
-  // transition happens in the same steps feed() takes, so a chunk boundary
-  // can never diverge from per-symbol feeding.
-  std::size_t i = 0;
-  const std::size_t n = chunk.size();
-  while (i < n && cursor_.in_prefix) on_own_symbol(chunk[i++]);
-  if (!cursor_.active) return;  // bad shape or k out of range
-  while (i < n) {
-    if (chunk[i] == Symbol::kSep) {
-      self().on_separator(cursor_.step_separator());
-      ++i;
-      continue;
-    }
-    const std::size_t j = stream::find_sep(chunk.data(), i + 1, n);
-    on_data_run(chunk.data() + i, j - i);
-    i = j;
-  }
+  cursor_.walk(chunk, S::kMaxK, *this);
 }
 
 template <typename S>
@@ -331,8 +224,8 @@ void ClassicalSamplingRecognizer::draw_indices() {
   cursor_pos_ = 0;
 }
 
-void ClassicalSamplingRecognizer::on_separator(bool new_rep) {
-  if (new_rep) {
+void ClassicalSamplingRecognizer::on_block_end() {
+  if (cursor_.block == 2) {
     draw_indices();
   } else {
     cursor_pos_ = 0;
@@ -355,10 +248,9 @@ void ClassicalSamplingRecognizer::step_bit(std::uint64_t idx, bool bit) {
 void ClassicalSamplingRecognizer::step_run(std::uint64_t start,
                                            const Symbol* data,
                                            std::uint64_t len) {
-  // Only sampled indices inside [start, end) are visited. The sweep lands
-  // one lower-bound step ahead of the per-symbol path's resting point, which
-  // is unobservable — it only ever advances monotonically until the next
-  // block boundary resets it.
+  // Only sampled indices inside [start, end) are visited, and the sweep
+  // rests where step_bit leaves it after bit end-1 (on that index if it is
+  // sampled), so a snapshot cannot tell the two paths apart.
   if (cursor_.block >= 2) return;
   const std::uint64_t end = start + len;
   while (cursor_pos_ < indices_.size() && indices_[cursor_pos_] < start) {
@@ -373,6 +265,7 @@ void ClassicalSamplingRecognizer::step_run(std::uint64_t start,
       found_ = true;
     }
   }
+  if (cursor_pos_ > 0 && indices_[cursor_pos_ - 1] == end - 1) --cursor_pos_;
 }
 
 std::uint64_t ClassicalSamplingRecognizer::memory_bits() const noexcept {

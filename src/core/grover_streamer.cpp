@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cassert>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "qols/backend/registry.hpp"
 #include "qols/telemetry/registry.hpp"
@@ -30,198 +28,141 @@ GroverStreamer::GroverStreamer(util::Rng rng, Options opts)
 }
 
 void GroverStreamer::feed(Symbol s) {
-  if (in_prefix_) {
-    if (s == Symbol::kOne) {
-      ++k_;
-      return;
-    }
-    if (s == Symbol::kSep && k_ >= 1) {
-      in_prefix_ = false;
-      std::optional<std::string> backend_id;
-      if (opts_.simulate) {
-        const std::string requested =
-            !opts_.backend.empty() ? opts_.backend
-                                   : backend::env_backend_override().value_or(
-                                         std::string{});
-        backend_id = backend::resolve_backend_id(
-            requested, k_, opts_.max_sim_k, opts_.max_structured_k);
-        if (!backend_id) {
-          overflow_ = true;  // no backend covers k: explicitly not simulated
-          return;
-        }
-      } else if (k_ > opts_.max_sim_k) {
-        // Non-simulating modes keep the historical max_sim_k envelope for
-        // counters and the gate compiler.
-        overflow_ = true;
-        return;
-      }
-      m_ = std::uint64_t{1} << (2 * k_);
-      j_ = rng_.below(std::uint64_t{1} << k_);
-      const unsigned data_qubits = 2 * k_ + 2;
-      if (backend_id) {
-        backend_ = backend::make_backend(*backend_id, data_qubits, 2 * k_,
-                                         opts_.precision);
-        backend_->apply_h_range(0, 2 * k_);
-        ++gates_applied_;
-      }
-      if (opts_.gate_sink != nullptr) {
-        // mcz_pattern over 2k+1 terms needs 2k ancillas.
-        builder_ = std::make_unique<gates::CircuitBuilder>(
-            *opts_.gate_sink, data_qubits, 2 * k_);
-        builder_->h_range(0, 2 * k_);
-      }
-      active_ = true;
-      return;
-    }
-    // Shape already broken; A1 rejects the word. Become inert.
-    in_prefix_ = false;
-    return;
-  }
-  if (!active_ || done_) return;
-  if (s == Symbol::kSep) {
-    on_sep();
-  } else {
-    on_bit(s == Symbol::kOne);
-  }
+  cursor_.step(s, lang::kPrefixCeiling, *this);
 }
 
 void GroverStreamer::feed_chunk(std::span<const Symbol> chunk) {
-  std::size_t i = 0;
-  const std::size_t n = chunk.size();
-  while (i < n) {
-    if (!in_prefix_ && (!active_ || done_)) return;  // inert for the rest
-    if (in_prefix_ || builder_ != nullptr) {
-      // The prefix is O(k) symbols; gate-level mode lowers bit by bit.
-      feed(chunk[i]);
-      ++i;
-      continue;
+  cursor_.walk(chunk, lang::kPrefixCeiling, *this);
+}
+
+bool GroverStreamer::on_activate() {
+  const unsigned k = cursor_.k;
+  std::optional<std::string> backend_id;
+  if (opts_.simulate) {
+    const std::string requested =
+        !opts_.backend.empty()
+            ? opts_.backend
+            : backend::env_backend_override().value_or(std::string{});
+    backend_id = backend::resolve_backend_id(requested, k, opts_.max_sim_k,
+                                             opts_.max_structured_k);
+    if (!backend_id) {
+      overflow_ = true;  // no backend covers k: explicitly not simulated
+      return false;
     }
-    if (chunk[i] == Symbol::kSep) {
-      on_sep();
-      ++i;
-      continue;
-    }
-    const std::size_t j = stream::find_sep(chunk.data(), i + 1, n);
-    on_run(chunk.subspan(i, j - i));
-    i = j;
+  } else if (k > opts_.max_sim_k) {
+    // Non-simulating modes keep the historical max_sim_k envelope for
+    // counters and the gate compiler.
+    overflow_ = true;
+    return false;
   }
+  j_ = rng_.below(std::uint64_t{1} << k);
+  const unsigned data_qubits = 2 * k + 2;
+  if (backend_id) {
+    backend_ =
+        backend::make_backend(*backend_id, data_qubits, 2 * k, opts_.precision);
+    backend_->apply_h_range(0, 2 * k);
+    ++gates_applied_;
+  }
+  if (opts_.gate_sink != nullptr) {
+    // mcz_pattern over 2k+1 terms needs 2k ancillas.
+    builder_ = std::make_unique<gates::CircuitBuilder>(*opts_.gate_sink,
+                                                       data_qubits, 2 * k);
+    builder_->h_range(0, 2 * k);
+  }
+  return true;
 }
 
 std::optional<backend::IndexOp> GroverStreamer::block_op() const noexcept {
-  if (rep_ < j_) {
+  if (cursor_.rep < j_) {
     // Grover phase: V_x on the x-block, W_y on the y-block, V_z on the
     // z-block.
-    return block_ == 1 ? backend::IndexOp::kZ : backend::IndexOp::kX;
+    return cursor_.block == 1 ? backend::IndexOp::kZ : backend::IndexOp::kX;
   }
   // Step 4 (repetition j+1): V_x on the x-block, R_y on the y-block; its
-  // z-block is never reached (on_sep ends the run after the y-block).
-  if (block_ == 0) return backend::IndexOp::kX;
-  if (block_ == 1) return backend::IndexOp::kCX;
+  // z-block is never reached (on_separator ends the run after the y-block).
+  if (cursor_.block == 0) return backend::IndexOp::kX;
+  if (cursor_.block == 1) return backend::IndexOp::kCX;
   return std::nullopt;
 }
 
-void GroverStreamer::on_run(std::span<const Symbol> run) {
-  const std::uint64_t room = m_ > off_ ? m_ - off_ : 0;
-  if (run.size() > room) {
-    run = run.first(room);
-    done_ = true;  // as in on_bit: the first bit past m freezes the register
-  }
+void GroverStreamer::on_bit(std::uint64_t idx, bool bit) {
+  // A 1-bit is a run of one.
+  static constexpr Symbol kFires = Symbol::kOne;
+  if (bit) on_run(idx, &kFires, 1);
+}
+
+void GroverStreamer::on_run(std::uint64_t start, const Symbol* data,
+                            std::uint64_t len) {
   const auto op = block_op();
-  if (backend_ && op) {
-    const auto ones = static_cast<std::uint64_t>(
-        std::count(run.begin(), run.end(), Symbol::kOne));
-    if (ones != 0) {
-      // Symbol's byte values make the run its own 0/1 mask.
-      backend_->apply_on_index_run(
-          *op, 2 * k_, off_,
-          {reinterpret_cast<const std::uint8_t*>(run.data()), run.size()},
-          2 * k_, 2 * k_ + 1);
-      gates_applied_ += ones;
+  if (!op) return;
+  const auto ones =
+      static_cast<std::uint64_t>(std::count(data, data + len, Symbol::kOne));
+  if (ones == 0) return;
+  const unsigned h = 2 * cursor_.k;
+  const unsigned l = h + 1;
+  if (backend_) {
+    // Symbol's byte values make the run its own 0/1 mask.
+    backend_->apply_on_index_run(
+        *op, h, start, {reinterpret_cast<const std::uint8_t*>(data), len}, h,
+        l);
+    gates_applied_ += ones;
+  }
+  if (!builder_) return;
+  for (std::uint64_t i = 0; i < len; ++i) {
+    if (data[i] != Symbol::kOne) continue;
+    switch (*op) {
+      case backend::IndexOp::kX:
+        builder_->mcx_pattern(index_terms(start + i, false), h);
+        break;
+      case backend::IndexOp::kZ:
+        builder_->mcz_pattern(index_terms(start + i, true));
+        break;
+      case backend::IndexOp::kCX:
+        builder_->mcx_pattern(index_terms(start + i, true), l);
+        break;
     }
   }
-  off_ += run.size();
 }
 
 std::span<const ControlTerm> GroverStreamer::index_terms(std::uint64_t idx,
                                                          bool with_h) {
+  const unsigned k = cursor_.k;
   terms_.clear();
-  for (unsigned q = 0; q < 2 * k_; ++q) {
+  for (unsigned q = 0; q < 2 * k; ++q) {
     terms_.push_back({q, ((idx >> q) & 1) != 0});
   }
-  if (with_h) terms_.push_back({2 * k_, true});
+  if (with_h) terms_.push_back({2 * k, true});
   return terms_;
 }
 
-void GroverStreamer::on_bit(bool bit) {
-  if (off_ >= m_) {
-    // Overlong block: word is malformed, A1 rejects. Freeze the register.
-    done_ = true;
+void GroverStreamer::on_separator() {
+  if (cursor_.rep >= j_) {
+    // Step 4 ends with its y-block: the register now carries
+    // sum beta_i |i>|x_i>|x_i&y_i>.
+    if (cursor_.block == 1) cursor_.stopped = true;
     return;
   }
-  const std::uint64_t idx = off_;
-  ++off_;
-  if (!bit) return;
-  const auto op = block_op();
-  if (!op) return;
-
-  const unsigned h = 2 * k_;
-  const unsigned l = 2 * k_ + 1;
-  if (backend_) {
-    ++gates_applied_;
-    // The same entry point as on_run: this 1-bit is a run of one.
-    static constexpr std::uint8_t kFires = 1;
-    backend_->apply_on_index_run(*op, 2 * k_, idx, {&kFires, 1}, h, l);
-  }
-  if (builder_) {
-    switch (*op) {
-      case backend::IndexOp::kX:
-        builder_->mcx_pattern(index_terms(idx, false), h);
-        break;
-      case backend::IndexOp::kZ:
-        builder_->mcz_pattern(index_terms(idx, true));
-        break;
-      case backend::IndexOp::kCX:
-        builder_->mcx_pattern(index_terms(idx, true), l);
-        break;
-    }
-  }
-}
-
-void GroverStreamer::on_sep() {
-  // End of the current block.
-  const bool grover_phase = rep_ < j_;
-  if (!grover_phase && block_ == 1) {
-    // Step 4 complete: the register now carries sum beta_i |i>|x_i>|x_i&y_i>.
-    done_ = true;
-    return;
-  }
-  if (block_ == 2) {
-    // Completed a full (x#y#x#) repetition inside the Grover phase:
-    // apply the diffusion U_k S_k U_k.
-    if (grover_phase) apply_diffusion();
-    ++rep_;
-    block_ = 0;
-  } else {
-    ++block_;
-  }
-  off_ = 0;
+  // A full (x#y#x#) repetition inside the Grover phase: apply the diffusion
+  // U_k S_k U_k.
+  if (cursor_.block == 2) apply_diffusion();
 }
 
 void GroverStreamer::apply_diffusion() {
   if (backend_) {
-    backend_->apply_grover_diffusion(0, 2 * k_);
+    backend_->apply_grover_diffusion(0, 2 * cursor_.k);
     ++gates_applied_;
   }
   if (builder_) {
-    builder_->h_range(0, 2 * k_);
-    builder_->reflect_zero(0, 2 * k_);  // -S_k; global phase, unobservable
-    builder_->h_range(0, 2 * k_);
+    const unsigned n = 2 * cursor_.k;
+    builder_->h_range(0, n);
+    builder_->reflect_zero(0, n);  // -S_k; global phase, unobservable
+    builder_->h_range(0, n);
   }
 }
 
 double GroverStreamer::probability_output_zero() const {
   if (!backend_) return 0.0;
-  return backend_->probability_one(2 * k_ + 1);
+  return backend_->probability_one(2 * cursor_.k + 1);
 }
 
 int GroverStreamer::finish_output() {
@@ -231,8 +172,8 @@ int GroverStreamer::finish_output() {
       telemetry::MetricsRegistry::global().counter("quantum.gates_total");
   gates_total.add(gates_applied_);
   if (overflow_) return kNotSimulated;  // no backend covered k
-  if (!active_ || !backend_) return 1;  // simulation not requested: inert
-  const bool b = backend_->measure(2 * k_ + 1, rng_);
+  if (!backend_) return 1;  // simulation not requested or inactive: inert
+  const bool b = backend_->measure(2 * cursor_.k + 1, rng_);
   return b ? 0 : 1;
 }
 
@@ -248,8 +189,8 @@ std::uint64_t GroverStreamer::classical_bits_for(unsigned k) noexcept {
 }
 
 std::uint64_t GroverStreamer::classical_bits_used() const noexcept {
-  if (!active_) return 8;
-  return classical_bits_for(k_);
+  if (!cursor_.active) return 8;
+  return classical_bits_for(cursor_.k);
 }
 
 std::uint64_t GroverStreamer::gates_emitted() const noexcept {
@@ -264,16 +205,16 @@ void GroverStreamer::snapshot_to(util::serde::ByteWriter& w) const {
     throw backend::UnsupportedOperation("snapshot in gate-level mode");
   }
   for (const std::uint64_t s : rng_.state()) w.u64(s);
-  w.b(in_prefix_);
-  w.u32(k_);
-  w.b(active_);
+  w.b(cursor_.in_prefix);
+  w.u32(cursor_.k);
+  w.b(cursor_.active);
   w.b(overflow_);
-  w.u64(m_);
+  w.u64(cursor_.m);
   w.u64(j_);
-  w.u64(rep_);
-  w.u32(block_);
-  w.u64(off_);
-  w.b(done_);
+  w.u64(cursor_.rep);
+  w.u32(cursor_.block);
+  w.u64(cursor_.off);
+  w.b(cursor_.stopped);
   w.b(backend_ != nullptr);
   if (backend_) {
     const std::string_view id = backend_->id();
@@ -291,28 +232,39 @@ void GroverStreamer::restore_from(util::serde::ByteReader& r) {
   std::array<std::uint64_t, 4> state;
   for (auto& s : state) s = r.u64();
   rng_.set_state(state);
-  in_prefix_ = r.b();
-  k_ = r.u32();
-  active_ = r.b();
+  cursor_.in_prefix = r.b();
+  cursor_.k = r.u32();
+  cursor_.active = r.b();
   overflow_ = r.b();
-  m_ = r.u64();
+  cursor_.m = r.u64();
   j_ = r.u64();
-  rep_ = r.u64();
-  block_ = r.u32();
-  off_ = r.u64();
-  done_ = r.b();
+  cursor_.rep = r.u64();
+  cursor_.block = r.u32();
+  cursor_.off = r.u64();
+  cursor_.stopped = r.b();
+  const bool has_backend = r.b();
+  cursor_.check(lang::kPrefixCeiling, "grover streamer");
+  // A3's own rules: the walk stops at m, j < 2^k was drawn at activation,
+  // the Grover phase ends at repetition j, and only activation builds a
+  // backend.
+  const bool reachable =
+      cursor_.off <= cursor_.m &&
+      (cursor_.active
+           ? j_ < std::uint64_t{1} << cursor_.k && cursor_.rep <= j_
+           : !has_backend);
+  if (!reachable) {
+    throw util::serde::DecodeError("grover streamer: state out of range");
+  }
   backend_.reset();
   builder_.reset();
-  if (r.b()) {
+  if (has_backend) {
     std::string id(r.u8(), '\0');
     for (char& c : id) c = static_cast<char>(r.u8());
     const auto precision = static_cast<quantum::Precision>(r.u8());
-    if (k_ == 0 || k_ > 29) {
-      throw util::serde::DecodeError("grover streamer: bad k for backend");
-    }
     // make_backend validates the id and geometry; a corrupt id string
     // surfaces as invalid_argument, not undefined behavior.
-    backend_ = backend::make_backend(id, 2 * k_ + 2, 2 * k_, precision);
+    const unsigned k = cursor_.k;
+    backend_ = backend::make_backend(id, 2 * k + 2, 2 * k, precision);
     backend_->restore_state(r);
   }
 }

@@ -76,15 +76,22 @@ std::vector<std::uint8_t> QuantumOnlineRecognizer::snapshot() const {
 
 void QuantumOnlineRecognizer::restore(std::span<const std::uint8_t> bytes) {
   util::serde::ByteReader r(bytes);
-  machine::check_snapshot_header(r, /*kind_tag=*/5, "quantum");
-  front_.restore_from(r);
+  // On any error the recognizer is left reset (seed 0), never half restored:
+  // A1/A2 restored next to an A3 whose cursor and register disagree would
+  // let the next data bit index past the register.
   try {
+    machine::check_snapshot_header(r, /*kind_tag=*/5, "quantum");
+    front_.restore_from(r);
     a3_->restore_from(r);
+    finished_ = r.b();
+    r.expect_exhausted();
   } catch (const backend::UnsupportedOperation& e) {
+    reset(0);
     throw machine::UnsupportedSnapshot(e.what());
+  } catch (...) {
+    reset(0);
+    throw;
   }
-  finished_ = r.b();
-  r.expect_exhausted();
 }
 
 }  // namespace qols::core

@@ -1,120 +1,58 @@
 #include "qols/lang/structure_validator.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace qols::lang {
 
-using stream::Symbol;
-
-void StructureValidator::feed(Symbol s) {
-  switch (phase_) {
-    case Phase::kFailed:
-      return;
-    case Phase::kDone:
-      // Any symbol after the final '#' breaks the exact-shape requirement.
-      fail();
-      return;
-    case Phase::kPrefix:
-      if (s == Symbol::kOne) {
-        if (k_ >= kMaxK) {
-          fail();
-          return;
-        }
-        ++k_;
-        return;
-      }
-      if (s == Symbol::kSep) {
-        if (k_ < 1) {
-          fail();
-          return;
-        }
-        k_known_ = true;
-        m_ = std::uint64_t{1} << (2 * k_);
-        total_blocks_ = 3 * (std::uint64_t{1} << k_);
-        phase_ = Phase::kBlock;
-        pos_in_block_ = 0;
-        return;
-      }
-      fail();  // '0' in the prefix
-      return;
-    case Phase::kBlock:
-      if (s == Symbol::kSep) {
-        if (pos_in_block_ != m_) {
-          fail();  // short block
-          return;
-        }
-        ++blocks_done_;
-        pos_in_block_ = 0;
-        if (blocks_done_ == total_blocks_) phase_ = Phase::kDone;
-        return;
-      }
-      // A data bit; overlong blocks fail as soon as they exceed m.
-      if (pos_in_block_ >= m_) {
-        fail();
-        return;
-      }
-      ++pos_in_block_;
-      return;
-  }
-}
-
-void StructureValidator::feed_chunk(std::span<const stream::Symbol> chunk) {
-  std::size_t i = 0;
-  const std::size_t n = chunk.size();
-  while (i < n) {
-    if (phase_ == Phase::kFailed) return;  // sticky; the rest is ignored
-    if (phase_ == Phase::kBlock && chunk[i] != Symbol::kSep) {
-      // Bulk-advance over the run of data bits up to the next separator.
-      const std::size_t j = stream::find_sep(chunk.data(), i + 1, n);
-      const std::uint64_t run = j - i;
-      if (pos_in_block_ + run > m_) {
-        fail();  // overlong block — same sticky failure the per-symbol
-        return;  // path reaches at the first bit beyond m
-      }
-      pos_in_block_ += run;
-      i = j;
-      continue;
-    }
-    feed(chunk[i]);
-    ++i;
-  }
-}
-
-bool StructureValidator::finish() {
-  if (failed_) return false;
-  return phase_ == Phase::kDone;
+StructureValidator::Phase StructureValidator::phase() const noexcept {
+  if (failed()) return Phase::kFailed;
+  if (cursor_.in_prefix) return Phase::kPrefix;
+  return done() ? Phase::kDone : Phase::kBlock;
 }
 
 void StructureValidator::snapshot_to(util::serde::ByteWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(phase_));
-  w.b(failed_);
-  w.b(k_known_);
-  w.u32(k_);
-  w.u64(m_);
-  w.u64(total_blocks_);
-  w.u64(blocks_done_);
-  w.u64(pos_in_block_);
+  w.u8(static_cast<std::uint8_t>(phase()));
+  w.b(failed());
+  w.b(cursor_.active);
+  w.u32(cursor_.k);
+  w.u64(cursor_.m);
+  w.u64(total_blocks());
+  w.u64(blocks_done());
+  w.u64(cursor_.off);
 }
 
 void StructureValidator::restore_from(util::serde::ByteReader& r) {
   const std::uint8_t phase = r.u8();
-  if (phase > static_cast<std::uint8_t>(Phase::kDone)) {
-    throw util::serde::DecodeError("StructureValidator: bad phase");
+  const bool failed = r.b();
+  StructureValidator v;
+  BlockCursor& c = v.cursor_;
+  c.active = r.b();
+  c.k = r.u32();
+  c.m = r.u64();
+  const std::uint64_t total = r.u64();
+  const std::uint64_t blocks = r.u64();
+  c.off = r.u64();
+  c.in_prefix = phase == static_cast<std::uint8_t>(Phase::kPrefix);
+  c.stopped = failed && c.active;
+  c.rep = blocks / 3;
+  c.block = static_cast<unsigned>(blocks % 3);
+  c.check(kPrefixCeiling, "StructureValidator");
+  const bool consistent =
+      total == v.total_blocks() && blocks <= total && c.off <= c.m &&
+      !(v.done() && c.off != 0) && failed == v.failed() &&
+      phase == static_cast<std::uint8_t>(v.phase());
+  if (!consistent) {
+    throw util::serde::DecodeError(
+        "StructureValidator: counters disagree with the prefix");
   }
-  phase_ = static_cast<Phase>(phase);
-  failed_ = r.b();
-  k_known_ = r.b();
-  k_ = r.u32();
-  m_ = r.u64();
-  total_blocks_ = r.u64();
-  blocks_done_ = r.u64();
-  pos_in_block_ = r.u64();
+  *this = v;
 }
 
 std::uint64_t StructureValidator::classical_bits_used() const noexcept {
   // Conceptual OPTM work-tape footprint. Before k is known only the prefix
   // counter exists; afterwards the three counters sized by k.
-  const unsigned k = k_known_ ? k_ : (k_ == 0 ? 1 : k_);
+  const unsigned k = std::max(cursor_.k, 1u);
   const std::uint64_t k_counter = std::bit_width(std::uint64_t{k} + 1);
   const std::uint64_t block_counter = k + 2;    // counts to 3*2^k
   const std::uint64_t pos_counter = 2 * k + 1;  // counts to 2^{2k}

@@ -20,6 +20,7 @@
 #include "qols/core/classical_recognizers.hpp"
 #include "qols/core/grover_streamer.hpp"
 #include "qols/core/quantum_recognizer.hpp"
+#include "qols/gates/builder.hpp"
 #include "qols/lang/ldisj_instance.hpp"
 #include "qols/machine/online_recognizer.hpp"
 #include "qols/stream/symbol_stream.hpp"
@@ -387,6 +388,51 @@ TEST(ChunkDifferential, StreamerRegistersAgreeOnMutantsAndOverlongBlocks) {
       expect_streamer_chunking_invariant("word=" + text, word_of(text), k,
                                          4000 + seed);
       if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(ChunkDifferential, GateTapeAgreesAcrossChunkings) {
+  // Gate-level mode lowers each 1-bit of a run to {H, T, CNOT} in index
+  // order, so a chunked feed must write the per-symbol tape byte for byte,
+  // with or without a simulated register next to it.
+  qols::util::Rng rng(707);
+  std::vector<std::string> words = {
+      LDisjInstance::make_disjoint(1, rng).render(),
+      LDisjInstance::make_with_intersections(2, 1, rng).render(),
+      "1#0110#11111#0110#", "1#1010#0101#1010#1010#0101#111111111#"};
+  for (const std::string& text : words) {
+    const std::vector<Symbol> word = word_of(text);
+    for (const bool simulate : {false, true}) {
+      for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        const auto run = [&](std::size_t chunk) {
+          auto sink = std::make_unique<qols::gates::TapeWriterSink>();
+          GroverStreamer::Options opts;
+          opts.simulate = simulate;
+          opts.backend = "dense";
+          opts.gate_sink = sink.get();
+          auto a3 = std::make_unique<GroverStreamer>(qols::util::Rng(seed),
+                                                     opts);
+          for (std::size_t at = 0; at < word.size(); at += chunk) {
+            a3->feed_chunk(std::span<const Symbol>(word).subspan(
+                at, std::min(chunk, word.size() - at)));
+          }
+          return std::make_pair(std::move(sink), std::move(a3));
+        };
+        const auto per_symbol = run(1);
+        for (const std::size_t chunk : {std::size_t{3}, word.size()}) {
+          const auto chunked = run(chunk);
+          const std::string what = text + " simulate=" +
+                                   std::to_string(simulate) + " seed=" +
+                                   std::to_string(seed) + " chunk=" +
+                                   std::to_string(chunk);
+          ASSERT_EQ(chunked.first->tape(), per_symbol.first->tape()) << what;
+          ASSERT_EQ(chunked.second->gates_emitted(),
+                    per_symbol.second->gates_emitted())
+              << what;
+          expect_same_streamer(*per_symbol.second, *chunked.second, what);
+        }
+      }
     }
   }
 }

@@ -1,6 +1,11 @@
 // Unit + differential tests: procedure A1 (streaming structure validator).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "qols/lang/ldisj_instance.hpp"
 #include "qols/lang/structure_validator.hpp"
 #include "qols/stream/symbol_stream.hpp"
@@ -108,6 +113,120 @@ TEST(Validator, SpaceIsLogarithmic) {
     EXPECT_GE(bits, prev);  // monotone in k
     prev = bits;
   }
+}
+
+std::vector<std::uint8_t> snapshot_after(const std::string& prefix) {
+  StructureValidator v;
+  StringStream s(prefix);
+  while (auto sym = s.next()) v.feed(*sym);
+  qols::util::serde::ByteWriter w;
+  v.snapshot_to(w);
+  return w.take();
+}
+
+/// Restores `bytes`, then feeds `rest`; nullopt when the restore throws.
+std::optional<bool> resume(const std::vector<std::uint8_t>& bytes,
+                           const std::string& rest) {
+  StructureValidator v;
+  qols::util::serde::ByteReader r(bytes);
+  try {
+    v.restore_from(r);
+  } catch (const qols::util::serde::DecodeError&) {
+    return std::nullopt;
+  }
+  StringStream s(rest);
+  while (auto sym = s.next()) v.feed(*sym);
+  return v.finish();
+}
+
+void poke(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v,
+          int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+TEST(Validator, RestoreRejectsCountersThePrefixCannotProduce) {
+  // Layout: phase @0, failed @1, k_known @2, k @3 (u32), m @7,
+  // total_blocks @15, blocks_done @23, pos_in_block @31 (u64 each).
+  const std::string body = "1000#0100#1000#1000#0100#1000#";
+  const std::vector<std::uint8_t> good = snapshot_after("1#");
+  ASSERT_EQ(good.size(), 39u);
+  ASSERT_EQ(good[3], 1);   // k
+  ASSERT_EQ(good[15], 6);  // 3 * 2^k blocks
+  EXPECT_EQ(resume(good, body), std::optional<bool>(true));
+  EXPECT_EQ(resume(good, "0000#"), std::optional<bool>(false));
+
+  const auto rejected = [&](std::vector<std::uint8_t> bad, const char* what) {
+    EXPECT_EQ(resume(bad, "0000#"), std::nullopt) << what;
+  };
+  {
+    // The repro: one block instead of six, after which "1#0000#" passed.
+    auto bad = good;
+    poke(bad, 15, 1, 8);
+    rejected(bad, "total_blocks != 3 * 2^k");
+  }
+  {
+    auto bad = good;
+    poke(bad, 7, 8, 8);
+    rejected(bad, "m != 2^{2k}");
+  }
+  {
+    auto bad = good;
+    poke(bad, 23, 7, 8);
+    rejected(bad, "blocks_done > total_blocks");
+  }
+  {
+    auto bad = good;
+    poke(bad, 31, 5, 8);
+    rejected(bad, "pos_in_block > m");
+  }
+  {
+    auto bad = good;
+    bad[0] = 3;  // kDone with no block read
+    rejected(bad, "phase done before the last block");
+  }
+  {
+    auto bad = good;
+    bad[0] = 0;  // kPrefix with k known
+    rejected(bad, "phase prefix after the prefix");
+  }
+  {
+    auto bad = good;
+    bad[1] = 1;  // failed, but the phase says block
+    rejected(bad, "failed flag against the phase");
+  }
+  {
+    auto bad = good;
+    poke(bad, 3, 21, 4);
+    poke(bad, 7, std::uint64_t{1} << 42, 8);
+    poke(bad, 15, std::uint64_t{3} << 21, 8);
+    rejected(bad, "k > 20");
+  }
+  {
+    auto bad = good;
+    bad[0] = 9;
+    rejected(bad, "unknown phase");
+  }
+}
+
+TEST(Validator, OverlongRunFailsWhereTheSymbolPathDoes) {
+  // The chunked path reads a data run in one step; it must still fail at
+  // the first bit past m, with the position counter where per-symbol
+  // feeding leaves it.
+  StructureValidator chunked;
+  const std::vector<Symbol> word = {Symbol::kOne,  Symbol::kSep,
+                                    Symbol::kZero, Symbol::kZero,
+                                    Symbol::kZero, Symbol::kZero,
+                                    Symbol::kZero};
+  chunked.feed_chunk(word);
+  StructureValidator single;
+  for (const Symbol s : word) single.feed(s);
+  EXPECT_TRUE(chunked.failed());
+  qols::util::serde::ByteWriter a, b;
+  chunked.snapshot_to(a);
+  single.snapshot_to(b);
+  EXPECT_EQ(a.take(), b.take());
 }
 
 // Differential property test: on random mutated words the validator agrees

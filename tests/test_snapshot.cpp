@@ -4,8 +4,10 @@
 // rejected with typed errors instead of corrupting state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -161,6 +163,7 @@ TEST(SnapshotCodec, RejectsMalformedByteStrings) {
   auto rec = spec.make(9);
   rec->feed_chunk(std::span<const Symbol>(word.data(), word.size() / 2));
   const std::vector<std::uint8_t> good = rec->snapshot();
+  ASSERT_GT(good.size(), 4u);
 
   const auto rejects = [&](std::vector<std::uint8_t> bytes) {
     auto fresh = spec.make(1);
@@ -206,6 +209,20 @@ TEST(SnapshotCodec, RejectsGeometryThatDisagreesWithTheCursor) {
   // sits right before the kind's memory tail.
   const std::vector<Symbol> word = {Symbol::kOne, Symbol::kOne, Symbol::kOne,
                                     Symbol::kSep, Symbol::kZero};
+  const auto rejects = [&word](const RecognizerSpec& spec,
+                               const std::vector<std::uint8_t>& bytes,
+                               const char* what) {
+    const std::string who = qols::service::recognizer_kind_name(spec.kind);
+    auto fresh = spec.make(1);
+    EXPECT_THROW(fresh->restore(bytes), DecodeError) << who << ": " << what;
+    // A failed restore leaves no half-restored state behind: feeding the
+    // same instance on must stay in bounds and decide like a fresh one.
+    for (const Symbol s : word) fresh->feed(s);
+    auto reference = spec.make(0);
+    for (const Symbol s : word) reference->feed(s);
+    EXPECT_EQ(finish_outcome(*fresh), finish_outcome(*reference))
+        << who << ": " << what;
+  };
   struct Case {
     RecognizerKind kind;
     std::size_t tail;         // bytes after the cursor
@@ -235,18 +252,6 @@ TEST(SnapshotCodec, RejectsGeometryThatDisagreesWithTheCursor) {
     ASSERT_EQ(good[cur + 5], 1) << who;   // active
     ASSERT_EQ(good[at_m], 64) << who;     // m = 2^{2k}
 
-    const auto rejects = [&](const std::vector<std::uint8_t>& bytes,
-                             const char* what) {
-      auto fresh = spec.make(1);
-      EXPECT_THROW(fresh->restore(bytes), DecodeError) << who << ": " << what;
-      // A failed restore leaves no half-restored state behind: feeding the
-      // same instance on must stay in bounds and decide like a fresh one.
-      for (const Symbol s : word) fresh->feed(s);
-      auto reference = spec.make(0);
-      for (const Symbol s : word) reference->feed(s);
-      EXPECT_EQ(finish_outcome(*fresh), finish_outcome(*reference))
-          << who << ": " << what;
-    };
     {
       auto fresh = spec.make(1);
       EXPECT_NO_THROW(fresh->restore(good)) << who;
@@ -254,7 +259,7 @@ TEST(SnapshotCodec, RejectsGeometryThatDisagreesWithTheCursor) {
     {
       auto bad = good;
       poke(bad, at_m, 63, 8);
-      rejects(bad, "m != 2^{2k}");
+      rejects(spec, bad, "m != 2^{2k}");
     }
     {
       // One past the kind's k ceiling (12 for full, 15 otherwise), with m
@@ -264,19 +269,19 @@ TEST(SnapshotCodec, RejectsGeometryThatDisagreesWithTheCursor) {
       poke(bad, at_k, k, 4);
       poke(bad, at_m, std::uint64_t{1} << (2 * k), 8);
       if (c.cursor_size == 42) poke(bad, cur + 14, std::uint64_t{1} << k, 8);
-      rejects(bad, "k above the ceiling");
+      rejects(spec, bad, "k above the ceiling");
     }
     {
       auto bad = good;
       poke(bad, at_k, 0, 4);
       poke(bad, at_m, 1, 8);
       if (c.cursor_size == 42) poke(bad, cur + 14, 1, 8);
-      rejects(bad, "active with k = 0");
+      rejects(spec, bad, "active with k = 0");
     }
     {
       auto bad = good;
       poke(bad, at_block, 3, 4);
-      rejects(bad, "block > 2");
+      rejects(spec, bad, "block > 2");
     }
     if (c.kind == RecognizerKind::kClassicalBlock ||
         c.kind == RecognizerKind::kClassicalFull) {
@@ -287,25 +292,101 @@ TEST(SnapshotCodec, RejectsGeometryThatDisagreesWithTheCursor) {
       poke(bad, at_k, 2, 4);
       poke(bad, at_m, 16, 8);
       if (c.cursor_size == 42) poke(bad, cur + 14, 4, 8);
-      rejects(bad, "buffer sized for another k");
+      rejects(spec, bad, "buffer sized for another k");
     }
     if (c.cursor_size == 42) {
       auto bad = good;
       poke(bad, cur + 14, 16, 8);
-      rejects(bad, "block length != 2^k");
+      rejects(spec, bad, "block length != 2^k");
     }
     if (c.kind == RecognizerKind::kClassicalSampling) {
       auto bad = good;
       poke(bad, good.size() - c.tail + 8, 64, 8);  // the one index, = m
-      rejects(bad, "sampled index outside [0, m)");
+      rejects(spec, bad, "sampled index outside [0, m)");
     } else {
       // The repro: the bit-vector tail replaced by an empty one.
       auto bad = std::vector<std::uint8_t>(good.begin(),
                                            good.end() - c.tail);
       bad.resize(bad.size() + 16, 0);  // u64 size 0, u64 word count 0
       bad.push_back(0);                // found
-      rejects(bad, "empty buffer");
+      rejects(spec, bad, "empty buffer");
     }
+  }
+
+  // A3 on the dense backend: rng, in_prefix, k, active, overflow, m, j, rep,
+  // block, off, stopped, has_backend, then the backend id and its register.
+  RecognizerSpec spec;
+  spec.kind = RecognizerKind::kQuantum;
+  spec.backend = "dense";
+  auto rec = spec.make(11);
+  for (const Symbol s : word) rec->feed(s);
+  const std::vector<std::uint8_t> good = rec->snapshot();
+  const std::uint8_t dense_id[] = {5, 'd', 'e', 'n', 's', 'e'};
+  const auto hit = std::search(good.begin(), good.end(), std::begin(dense_id),
+                               std::end(dense_id));
+  ASSERT_NE(hit, good.end());
+  const std::size_t has_backend =
+      static_cast<std::size_t>(hit - good.begin()) - 1;
+  const std::size_t at_off = has_backend - 9;
+  const std::size_t at_block = at_off - 4;
+  const std::size_t at_rep = at_block - 8;
+  const std::size_t at_j = at_rep - 8;
+  const std::size_t at_m = at_j - 8;
+  const std::size_t at_active = at_m - 2;
+  const std::size_t at_k = at_active - 4;
+  const std::size_t at_prefix = at_k - 1;
+  ASSERT_EQ(good[has_backend], 1);
+  ASSERT_EQ(good[at_off], 1);
+  ASSERT_EQ(good[at_m], 64);
+  ASSERT_EQ(good[at_active], 1);
+  ASSERT_EQ(good[at_k], 3);
+  ASSERT_EQ(good[at_prefix], 0);
+  {
+    auto fresh = spec.make(1);
+    EXPECT_NO_THROW(fresh->restore(good));
+  }
+  {
+    // The repro: m raised by 2^40 let the next 1-bit index past the
+    // register.
+    auto bad = good;
+    poke(bad, at_m, 64 + (std::uint64_t{1} << 40), 8);
+    rejects(spec, bad, "m != 2^{2k}");
+  }
+  {
+    auto bad = good;
+    poke(bad, at_k, 21, 4);
+    poke(bad, at_m, std::uint64_t{1} << 42, 8);
+    rejects(spec, bad, "k above the prefix ceiling");
+  }
+  {
+    auto bad = good;
+    poke(bad, at_block, 3, 4);
+    rejects(spec, bad, "block > 2");
+  }
+  {
+    auto bad = good;
+    poke(bad, at_off, 65, 8);
+    rejects(spec, bad, "off > m");
+  }
+  {
+    auto bad = good;
+    poke(bad, at_j, 8, 8);
+    rejects(spec, bad, "j >= 2^k");
+  }
+  {
+    auto bad = good;
+    poke(bad, at_rep, std::uint64_t{good[at_j]} + 1, 8);
+    rejects(spec, bad, "rep > j");
+  }
+  {
+    // Back in an inactive state the cursor itself accepts, with the
+    // register still attached.
+    auto bad = good;
+    for (const std::size_t at : {at_m, at_j, at_rep, at_off}) {
+      poke(bad, at, 0, 8);
+    }
+    bad[at_active] = 0;
+    rejects(spec, bad, "a backend on an inactive cursor");
   }
 }
 
@@ -334,6 +415,154 @@ TEST(SnapshotCodec, LayoutIsPinnedAcrossBuilds) {
     rec->feed_chunk(std::span<const Symbol>(word.data(), cut));
     EXPECT_EQ(qols::util::crc32(rec->snapshot()), pin.crc)
         << qols::service::recognizer_kind_name(pin.kind);
+  }
+}
+
+std::vector<Symbol> symbols_of(const std::string& text) {
+  std::vector<Symbol> out;
+  for (const char c : text) out.push_back(*qols::stream::symbol_from_char(c));
+  return out;
+}
+
+TEST(SnapshotCodec, BoundaryWordsArePinnedPerSymbolAndChunked) {
+  // The words where the parser of `1^k # x # y # z # ...` changes course:
+  // prefixes around the kinds' k ceilings (12 full, 15 classical, 16
+  // structured, the counter's 20), a broken or unclosed prefix, a short and
+  // an overlong block, symbols after the last '#', and whole k = 1 words, on
+  // which A3 ends step 4 and ignores the rest. Fed per symbol, every kind's
+  // outcome and snapshot CRC are pinned; fed in chunks of every size, the
+  // snapshot must equal the per-symbol one byte for byte.
+  const std::string member = "1#1000#0100#1000#1000#0100#1000#";
+  const std::string meets = "1#1100#0100#1100#1100#0100#1100#";
+  const std::vector<std::string> words = {
+      "#",
+      "1#0110",
+      std::string(15, '1') + "#0110",
+      std::string(16, '1') + "#0110",
+      std::string(20, '1') + "#0110",
+      std::string(21, '1') + "#0110",
+      "110#",
+      "11",
+      "1#010#0110",
+      "1#00000#0110",
+      member + "0",
+      member + "#",
+      member,
+      meets};
+  struct Pin {
+    bool accepted;
+    bool simulated;
+    std::uint64_t classical_bits;
+    std::uint64_t qubits;
+    std::uint32_t crc;
+    bool operator==(const Pin&) const = default;
+  };
+  const RecognizerKind kinds[] = {
+      RecognizerKind::kClassicalBlock, RecognizerKind::kClassicalFull,
+      RecognizerKind::kClassicalSampling, RecognizerKind::kClassicalBloom,
+      RecognizerKind::kQuantum};
+  const Pin pins[][5] = {
+      {{false, true, 27, 0, 1678616082u},
+       {false, true, 23, 0, 2120797240u},
+       {false, true, 39, 0, 3479943832u},
+       {false, true, 23, 0, 566348752u},
+       {false, true, 26, 0, 3264219872u}},
+      {{false, true, 73, 0, 2855151331u},
+       {false, true, 72, 0, 1256346502u},
+       {false, true, 116, 0, 917749618u},
+       {false, true, 132, 0, 3744899727u},
+       {false, true, 73, 4, 1733827859u}},
+      {{false, true, 33388, 0, 109658549u},
+       {false, true, 603, 0, 1990589632u},
+       {false, true, 1099, 0, 2404349593u},
+       {false, true, 667, 0, 2064742388u},
+       {false, true, 639, 32, 1494678948u}},
+      {{false, true, 580, 0, 752889362u},
+       {false, true, 608, 0, 3786603478u},
+       {false, true, 1136, 0, 2811018882u},
+       {false, true, 608, 0, 3391605229u},
+       {false, true, 646, 34, 3359238026u}},
+      {{false, true, 592, 0, 4208930397u},
+       {false, true, 628, 0, 3117072512u},
+       {false, true, 1284, 0, 1907605197u},
+       {false, true, 628, 0, 2455761595u},
+       {false, false, 591, 0, 993810736u}},
+      {{false, true, 592, 0, 3135347137u},
+       {false, true, 628, 0, 3822754614u},
+       {false, true, 1284, 0, 831326545u},
+       {false, true, 628, 0, 3360663821u},
+       // A 21st '1' ends A3's prefix as it ends every cursor's: A3 stays
+       // inactive, so nothing is left unsimulated (A1 rejects the word).
+       {false, true, 591, 0, 2548733292u}},
+      {{false, true, 30, 0, 3888121183u},
+       {false, true, 30, 0, 1337667899u},
+       {false, true, 110, 0, 1285954005u},
+       {false, true, 30, 0, 269629139u},
+       {false, true, 29, 0, 3853209472u}},
+      {{false, true, 30, 0, 2240664947u},
+       {false, true, 30, 0, 2504439861u},
+       {false, true, 110, 0, 787204601u},
+       {false, true, 30, 0, 3404709853u},
+       {false, true, 29, 0, 1792016574u}},
+      {{false, true, 73, 0, 746145643u},
+       {false, true, 72, 0, 3869577889u},
+       {false, true, 116, 0, 1127619862u},
+       {false, true, 132, 0, 3103957901u},
+       {false, true, 73, 4, 2494684469u}},
+      {{false, true, 73, 0, 678524419u},
+       {false, true, 72, 0, 2973005395u},
+       {false, true, 116, 0, 1659379013u},
+       {false, true, 132, 0, 3980772836u},
+       {false, true, 73, 4, 774461996u}},
+      {{false, true, 73, 0, 2137150696u},
+       {false, true, 72, 0, 3098844274u},
+       {false, true, 116, 0, 3162144458u},
+       {false, true, 132, 0, 1696122284u},
+       {false, true, 73, 4, 3255491416u}},
+      {{false, true, 73, 0, 1524177916u},
+       {false, true, 72, 0, 1323684467u},
+       {false, true, 116, 0, 4073465983u},
+       {false, true, 132, 0, 2471070637u},
+       {false, true, 73, 4, 242145388u}},
+      {{true, true, 73, 0, 107393509u},
+       {true, true, 72, 0, 2953979826u},
+       {true, true, 116, 0, 1640895732u},
+       {true, true, 132, 0, 1841200748u},
+       {true, true, 73, 4, 1517653705u}},
+      {{false, true, 73, 0, 1942358582u},
+       {false, true, 72, 0, 3865286187u},
+       {false, true, 116, 0, 104981668u},
+       {false, true, 132, 0, 941215086u},
+       {false, true, 73, 4, 2921639395u}},
+  };
+  ASSERT_EQ(std::size(pins), words.size());
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const std::vector<Symbol> word = symbols_of(words[w]);
+    for (std::size_t i = 0; i < std::size(kinds); ++i) {
+      RecognizerSpec spec;
+      spec.kind = kinds[i];
+      spec.backend = "auto";
+      const std::string who = words[w] + " " +
+                              qols::service::recognizer_kind_name(kinds[i]);
+      auto rec = spec.make(7);
+      for (const Symbol s : word) rec->feed(s);
+      const std::vector<std::uint8_t> bytes = rec->snapshot();
+      const Outcome out = finish_outcome(*rec);
+      const Pin got{out.accepted, out.fully_simulated, out.classical_bits,
+                    out.qubits, qols::util::crc32(bytes)};
+      EXPECT_EQ(got, pins[w][i])
+          << who << ": {" << got.accepted << ", " << got.simulated << ", "
+          << got.classical_bits << ", " << got.qubits << ", " << got.crc
+          << "u}";
+      for (std::size_t c = 2; c <= word.size(); ++c) {
+        auto chunked = spec.make(7);
+        for (std::size_t at = 0; at < word.size(); at += c) {
+          chunked->feed_chunk(std::span<const Symbol>(word).subspan(
+              at, std::min(c, word.size() - at)));
+        }
+        EXPECT_EQ(chunked->snapshot(), bytes) << who << " chunk=" << c;
+      }
+    }
   }
 }
 
